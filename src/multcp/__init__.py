@@ -4,56 +4,8 @@ The package bundles a deterministic discrete-event simulator (engine,
 aqm, tcp), the analytic sawtooth throughput model (model), fairness
 checkers and allocators (fairness), receive-buffer sharing (allocator),
 trace-based weight estimation and billing (policing), and the scenario
-and experiment harness (harness).
+and experiment harness (harness).  The library API is imported from
+these submodules, e.g. ``from multcp.harness import run_scenario``.
 """
 
-from .aqm import RedParams, RedQueue
-from .allocator import (BufferChange, BufferPool, allocate_buffers,
-                        compute_budget, throughput_bound)
-from .engine import (FlowSpec, LinkSpec, Scenario, Simulation,
-                     SimulationError)
-from .fairness import (MaxminVerdict, Network, PfVerdict, WpfAllocation,
-                       check_maxmin, check_pf, check_weighted_pf,
-                       maxmin_allocate, wpf_allocate)
-from .harness import (DumbbellParams, FairnessSample, FairnessSummary,
-                      FlowResult, GainSample, GainSummary, RunResult,
-                      ScenarioError, build_dumbbell, dispersion, emit_results,
-                      load_scenario, run_fairness_experiment,
-                      run_gain_experiment, run_scenario, scenario_from_dict,
-                      summarize_fairness, summarize_gain)
-from .model import (SawtoothResult, cycle_data, gain_ratio, loss_rate,
-                    multcp_throughput, peak_window, sawtooth_oracle,
-                    standard_throughput)
-from .policing import (ComplianceReport, Declaration, TraceAnalysis,
-                       analyze_trace, bill, estimate_n_from_decrease,
-                       estimate_n_from_slow_start, read_declarations_csv,
-                       read_trace_csv, split_trace, verify_declaration,
-                       write_declarations_csv, write_trace_csv)
-from .tcp import (CongestionState, TcpReceiver, TcpSender, TraceRecord,
-                  VARIANTS, on_ack_congestion_avoidance, on_ack_slow_start,
-                  on_congestion_signal, on_timeout, slow_start_crossover,
-                  window_allows_send)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BufferChange", "BufferPool", "ComplianceReport", "CongestionState",
-    "Declaration", "DumbbellParams", "FairnessSample", "FairnessSummary",
-    "FlowResult", "FlowSpec", "GainSample", "GainSummary", "LinkSpec",
-    "MaxminVerdict", "Network", "PfVerdict", "RedParams", "RedQueue",
-    "RunResult", "SawtoothResult", "Scenario", "ScenarioError", "Simulation",
-    "SimulationError", "TcpReceiver", "TcpSender", "TraceAnalysis",
-    "TraceRecord", "VARIANTS", "WpfAllocation", "allocate_buffers",
-    "analyze_trace", "bill", "build_dumbbell", "check_maxmin", "check_pf",
-    "check_weighted_pf", "compute_budget", "cycle_data", "dispersion",
-    "emit_results", "estimate_n_from_decrease", "estimate_n_from_slow_start",
-    "gain_ratio", "load_scenario", "loss_rate", "maxmin_allocate",
-    "multcp_throughput", "on_ack_congestion_avoidance", "on_ack_slow_start",
-    "on_congestion_signal", "on_timeout", "peak_window",
-    "read_declarations_csv", "read_trace_csv", "run_fairness_experiment",
-    "run_gain_experiment", "run_scenario", "sawtooth_oracle",
-    "scenario_from_dict", "slow_start_crossover", "split_trace",
-    "standard_throughput", "summarize_fairness", "summarize_gain",
-    "throughput_bound", "verify_declaration", "window_allows_send",
-    "wpf_allocate", "write_declarations_csv", "write_trace_csv",
-]

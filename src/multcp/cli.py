@@ -11,7 +11,6 @@ any error, with a diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import sys
 from pathlib import Path
@@ -61,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--flows", type=int, default=22)
     g.add_argument("-o", "--output-dir", help="write gain.csv and "
                    "gain_summary.csv here (default: summary to stdout)")
-    g.set_defaults(func=_cmd_sweep_gain)
+    g.set_defaults(func=_cmd_sweep)
 
     f = sweep.add_parser("fairness", help="same-N dispersion versus N")
     f.add_argument("--variant", default="sack", choices=VARIANTS)
@@ -70,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument("--flows", type=int, default=22)
     f.add_argument("-o", "--output-dir", help="write fairness.csv and "
                    "fairness_summary.csv here (default: summary to stdout)")
-    f.set_defaults(func=_cmd_sweep_fairness)
+    f.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("model", help="analytic throughput table")
     p.add_argument("--n-grid", default="1,2,4,8")
@@ -121,18 +120,6 @@ def _floats(text: str, what: str) -> list[float]:
     return values
 
 
-def _emit(rows, header, output) -> None:
-    if output:
-        with open(output, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-    else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 # -- simulate --------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
@@ -140,12 +127,7 @@ def _cmd_simulate(args) -> int:
     if args.trace_out and not scenario.trace:
         scenario = dataclasses.replace(scenario, trace=True)
     result = harness.run_scenario(scenario)
-    rows = [(result.seed, f.flow_id, f.variant, f.n_weight, f.throughput_Bps,
-             f.base_rtt_s, f.delivered_bytes, f.drops, f.retransmits,
-             f.timeouts, f.fast_retransmits) for f in result.flows]
-    _emit(rows, ("seed", "flow_id", "variant", "n_weight", "throughput_Bps",
-                 "base_rtt_s", "delivered_bytes", "drops", "retransmits",
-                 "timeouts", "fast_retransmits"), args.output)
+    harness.write_run_csv(result, args.output or sys.stdout)
     if args.trace_out:
         write_trace_csv(result.trace, args.trace_out)
     return 0
@@ -153,40 +135,29 @@ def _cmd_simulate(args) -> int:
 
 # -- sweeps ----------------------------------------------------------------
 
-def _cmd_sweep_gain(args) -> int:
+def _cmd_sweep(args) -> int:
     n_grid = _floats(args.n_grid, "--n-grid")
     seeds = list(range(args.seeds))
-    samples = harness.run_gain_experiment(args.variant, n_grid, seeds,
-                                          n_flows=args.flows)
-    summaries = harness.summarize_gain(samples)
-    if args.output_dir:
-        out = Path(args.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        harness.write_gain_csv(samples, out / "gain.csv")
-        harness.write_gain_summary_csv(summaries, out / "gain_summary.csv")
-    else:
-        _emit([(s.variant, s.n_weight, s.mean_gain, s.std_gain, s.seeds)
-               for s in summaries],
-              ("variant", "n", "mean_gain", "std_gain", "seeds"), None)
-    return 0
-
-
-def _cmd_sweep_fairness(args) -> int:
-    n_grid = _floats(args.n_grid, "--n-grid")
-    seeds = list(range(args.seeds))
-    samples = harness.run_fairness_experiment(n_grid, seeds,
-                                              variant=args.variant,
+    if args.experiment == "gain":
+        samples = harness.run_gain_experiment(args.variant, n_grid, seeds,
                                               n_flows=args.flows)
-    summaries = harness.summarize_fairness(samples)
+        summaries = harness.summarize_gain(samples)
+        write, write_summary = (harness.write_gain_csv,
+                                harness.write_gain_summary_csv)
+    else:
+        samples = harness.run_fairness_experiment(n_grid, seeds,
+                                                  variant=args.variant,
+                                                  n_flows=args.flows)
+        summaries = harness.summarize_fairness(samples)
+        write, write_summary = (harness.write_fairness_csv,
+                                harness.write_fairness_summary_csv)
     if args.output_dir:
         out = Path(args.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        harness.write_fairness_csv(samples, out / "fairness.csv")
-        harness.write_fairness_summary_csv(summaries,
-                                           out / "fairness_summary.csv")
+        write(samples, out / f"{args.experiment}.csv")
+        write_summary(summaries, out / f"{args.experiment}_summary.csv")
     else:
-        _emit([(s.n_weight, s.mean, s.std, s.seeds) for s in summaries],
-              ("n", "mean_std_over_mean", "std", "seeds"), None)
+        write_summary(summaries, sys.stdout)
     return 0
 
 
@@ -209,7 +180,7 @@ def _cmd_model(args) -> int:
                 row += [oracle.throughput_Bps,
                         abs(oracle.throughput_Bps - t) / t]
             rows.append(tuple(row))
-    _emit(rows, tuple(header), args.output)
+    harness.write_csv(args.output or sys.stdout, header, rows)
     return 0
 
 
@@ -245,7 +216,8 @@ def _cmd_fairness_check(args) -> int:
                 print(f"warning: solver not converged "
                       f"(kkt residual {alloc.kkt_residual:.2e})", file=sys.stderr)
             rates = alloc.rates
-        _emit([(i, rates[i]) for i in range(n)], ("connection", "rate"), None)
+        harness.write_csv(sys.stdout, ("connection", "rate"),
+                          [(i, rates[i]) for i in range(n)])
         return 0
 
     if not args.rates:
@@ -271,8 +243,9 @@ def _cmd_alloc(args) -> int:
     prices = _floats(args.prices, "--prices")
     allocation = allocate_buffers(dict(enumerate(prices)), args.budget,
                                   args.segment)
-    _emit([(i, prices[i], allocation[i]) for i in sorted(allocation)],
-          ("connection", "price", "buffer_bytes"), args.output)
+    harness.write_csv(args.output or sys.stdout,
+                      ("connection", "price", "buffer_bytes"),
+                      [(i, prices[i], allocation[i]) for i in sorted(allocation)])
     return 0
 
 

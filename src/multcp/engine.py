@@ -20,6 +20,7 @@ pure delay, the sum of the forward links' propagation delays.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -61,6 +62,11 @@ class LinkSpec:
     limit: int = 1000           # packets of backlog before tail drop
     red: RedParams | None = None    # overrides the scenario default for red queues
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.bandwidth_bps) and self.bandwidth_bps > 0):
+            raise ValueError(f"link {self.name!r}: bandwidth must be finite "
+                             f"and positive, got {self.bandwidth_bps!r}")
+
 
 @dataclass(frozen=True)
 class FlowSpec:
@@ -87,6 +93,12 @@ class Scenario:
     payload_bytes: int = 1000
     red: RedParams = field(default_factory=RedParams)
     trace: bool = False
+
+    def __post_init__(self) -> None:
+        if self.payload_bytes <= 0:
+            raise ValueError(f"payload must be positive, got {self.payload_bytes!r}")
+        if not math.isfinite(self.duration_s):
+            raise ValueError(f"duration must be finite, got {self.duration_s!r}")
 
 
 class Packet:
@@ -129,9 +141,6 @@ class FifoLink:
         """Bits fully serialised by `now`; the backlog drains at line rate."""
         backlog_ns = max(0, self.busy_until_ns - now_ns)
         return self.bits_admitted - self.bandwidth_bps * backlog_ns / NS_PER_SEC
-
-    def queued_packets(self) -> int:
-        return 0    # backlog lives in already-scheduled arrival events
 
 
 class RedLink:
@@ -176,9 +185,6 @@ class RedLink:
     def delivered_bits(self, now_ns: int) -> float:
         return float(self.bits_forwarded)
 
-    def queued_packets(self) -> int:
-        return len(self.queue) + (1 if self.in_service is not None else 0)
-
 
 class Flow:
     """Binds a sender, a receiver, a forward route and counters."""
@@ -205,30 +211,10 @@ class Flow:
         self.sent_packets = 0
         self.arrived_packets = 0
         self.drops = 0
-        self.completion_ns: int | None = None
         self._timer_event_ns: int | None = None
-
-    def delivered_segments(self) -> int:
-        return self.receiver.cum_ack
 
     def delivered_bytes(self) -> int:
         return self.receiver.cum_ack * self.payload_bytes
-
-
-@dataclass
-class FlowSnapshot:
-    flow_id: int
-    variant: str
-    n_weight: float
-    delivered_bytes: int
-    sent_packets: int
-    arrived_packets: int
-    drops: int
-    retransmits: int
-    timeouts: int
-    fast_retransmits: int
-    base_rtt_s: float
-    completion_s: float | None
 
 
 class Simulation:
@@ -324,8 +310,6 @@ class Simulation:
         sends = flow.sender.on_ack(ack, blocks, now_ns)
         self._dispatch_sends(flow, sends, now_ns)
         self._sync_timer(flow)
-        if flow.completion_ns is None and flow.sender.done():
-            flow.completion_ns = now_ns
 
     def _on_timer(self, flow: Flow, now_ns: int) -> None:
         flow._timer_event_ns = None
@@ -349,20 +333,6 @@ class Simulation:
             flow._timer_event_ns = deadline
 
     # -- inspection -------------------------------------------------------
-
-    def snapshot(self) -> list[FlowSnapshot]:
-        out = []
-        for f in self.flows:
-            out.append(FlowSnapshot(
-                flow_id=f.flow_id, variant=f.spec.variant, n_weight=f.spec.n_weight,
-                delivered_bytes=f.delivered_bytes(), sent_packets=f.sent_packets,
-                arrived_packets=f.arrived_packets, drops=f.drops,
-                retransmits=f.sender.retransmits, timeouts=f.sender.timeouts,
-                fast_retransmits=f.sender.fast_retransmits,
-                base_rtt_s=s_from_ns(f.base_rtt_ns),
-                completion_s=None if f.completion_ns is None
-                else s_from_ns(f.completion_ns)))
-        return out
 
     def in_network_counts(self) -> dict[int, int]:
         """Data packets currently queued or in flight, per flow."""

@@ -28,6 +28,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 _EPS = 1e-9
+# wpf_allocate declares convergence at this KKT residual, so the weighted
+# PF check accepts rate vectors that are feasible to the same tolerance
+_KKT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -211,7 +214,7 @@ def check_weighted_pf(network: Network, rates, weights, *,
         raise ValueError("rates and weights must have one entry per connection")
     if np.any(w < 0):
         raise ValueError("weights must be non-negative")
-    if not network.is_feasible(x):
+    if not network.is_feasible(x, tol=_KKT_TOL):
         return PfVerdict(False, math.inf, None, 0, "rate vector is not feasible")
     if np.any((x <= 0) & (w > 0)):
         return PfVerdict(False, math.inf, None, 0,
@@ -319,6 +322,6 @@ def wpf_allocate(network: Network, weights) -> WpfAllocation:
     # complementary slackness, made dimensionless by the total weight
     slack = float(np.max(lam * np.abs(caps - loads)) / w_act.sum())
     residual = max(overload, slack)
-    converged = bool(res.success) and residual <= 1e-6
+    converged = bool(res.success) and residual <= _KKT_TOL
     detail = "" if converged else f"optimizer: {res.message}"
     return WpfAllocation(list(rates), converged, residual, "dual-descent", detail)

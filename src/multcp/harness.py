@@ -194,39 +194,51 @@ class GainSummary:
 def run_gain_experiment(variant: str, n_grid, seeds, *, n_flows: int = 22,
                         params: DumbbellParams | None = None) -> list[GainSample]:
     """Weighted flow 0 against unweighted flow 1 over background traffic."""
+    def measure(n, seed, result: RunResult) -> GainSample:
+        heavy = result.flows[0].throughput_Bps
+        ref = result.flows[1].throughput_Bps
+        if ref <= 0:
+            raise SimulationError(
+                f"reference flow starved (variant={variant}, n={n}, seed={seed})")
+        return GainSample(variant=variant, n_weight=float(n), seed=seed,
+                          gain=heavy / ref, heavy_Bps=heavy, reference_Bps=ref)
+
+    return _sweep(variant, n_grid, seeds, n_flows, params,
+                  lambda n: [float(n)] + [1.0] * (n_flows - 1), measure)
+
+
+def summarize_gain(samples) -> list[GainSummary]:
+    return [GainSummary(variant=variant, n_weight=n, mean_gain=mean,
+                        std_gain=std, seeds=count)
+            for (variant, n), mean, std, count in _group_stats(
+                samples, lambda s: (s.variant, s.n_weight), lambda s: s.gain)]
+
+
+def _sweep(variant: str, n_grid, seeds, n_flows: int,
+           params: DumbbellParams | None, weights, measure) -> list:
+    """One dumbbell run per (n, seed) cell, in grid order, each measured.
+
+    `weights(n)` gives build_dumbbell's weights for grid point n, and
+    `measure(n, seed, result)` turns the cell's RunResult into a sample.
+    """
     if variant not in VARIANTS:
         raise ScenarioError(f"unknown variant {variant!r}")
     if not n_grid or not seeds:
         raise ScenarioError("n_grid and seeds must be non-empty")
-    samples = []
-    for n in n_grid:
-        for seed in seeds:
-            weights = [float(n)] + [1.0] * (n_flows - 1)
-            scenario = build_dumbbell(n_flows, params, variant=variant,
-                                      weights=weights, seed=seed)
-            result = run_scenario(scenario)
-            heavy = result.flows[0].throughput_Bps
-            ref = result.flows[1].throughput_Bps
-            if ref <= 0:
-                raise SimulationError(
-                    f"reference flow starved (variant={variant}, n={n}, seed={seed})")
-            samples.append(GainSample(variant=variant, n_weight=float(n),
-                                      seed=seed, gain=heavy / ref,
-                                      heavy_Bps=heavy, reference_Bps=ref))
-    return samples
+    return [measure(n, seed, run_scenario(build_dumbbell(
+                n_flows, params, variant=variant, weights=weights(n), seed=seed)))
+            for n in n_grid for seed in seeds]
 
 
-def summarize_gain(samples) -> list[GainSummary]:
-    keys = sorted({(s.variant, s.n_weight) for s in samples})
-    out = []
-    for variant, n in keys:
-        gains = [s.gain for s in samples
-                 if s.variant == variant and s.n_weight == n]
-        std = statistics.stdev(gains) if len(gains) > 1 else 0.0
-        out.append(GainSummary(variant=variant, n_weight=n,
-                               mean_gain=statistics.fmean(gains),
-                               std_gain=std, seeds=len(gains)))
-    return out
+def _group_stats(samples, key, value):
+    """(key, mean, sample stdev or 0 for one sample, count) per sorted key."""
+    groups: dict = {}
+    for s in samples:
+        groups.setdefault(key(s), []).append(value(s))
+    for k in sorted(groups):
+        vals = groups[k]
+        std = statistics.stdev(vals) if len(vals) > 1 else 0.0
+        yield k, statistics.fmean(vals), std, len(vals)
 
 
 # -- fairness experiment ---------------------------------------------------
@@ -251,20 +263,10 @@ def run_fairness_experiment(n_grid, seeds, *, variant: str = "sack",
                             params: DumbbellParams | None = None
                             ) -> list[FairnessSample]:
     """All flows share one weight; dispersion of RTT-normalized throughput."""
-    if variant not in VARIANTS:
-        raise ScenarioError(f"unknown variant {variant!r}")
-    if not n_grid or not seeds:
-        raise ScenarioError("n_grid and seeds must be non-empty")
-    samples = []
-    for n in n_grid:
-        for seed in seeds:
-            scenario = build_dumbbell(n_flows, params, variant=variant,
-                                      weights=float(n), seed=seed)
-            result = run_scenario(scenario)
-            samples.append(FairnessSample(
-                n_weight=float(n), seed=seed,
-                std_over_mean=dispersion(result.flows)))
-    return samples
+    return _sweep(variant, n_grid, seeds, n_flows, params, float,
+                  lambda n, seed, result: FairnessSample(
+                      n_weight=float(n), seed=seed,
+                      std_over_mean=dispersion(result.flows)))
 
 
 def dispersion(flows) -> float:
@@ -279,77 +281,59 @@ def dispersion(flows) -> float:
 
 
 def summarize_fairness(samples) -> list[FairnessSummary]:
-    out = []
-    for n in sorted({s.n_weight for s in samples}):
-        vals = [s.std_over_mean for s in samples if s.n_weight == n]
-        std = statistics.stdev(vals) if len(vals) > 1 else 0.0
-        out.append(FairnessSummary(n_weight=n, mean=statistics.fmean(vals),
-                                   std=std, seeds=len(vals)))
-    return out
+    return [FairnessSummary(n_weight=n, mean=mean, std=std, seeds=count)
+            for n, mean, std, count in _group_stats(
+                samples, lambda s: s.n_weight, lambda s: s.std_over_mean)]
 
 
 # -- CSV output ------------------------------------------------------------
+#
+# Every writer takes a target that is either a path or an open text
+# stream such as sys.stdout; both receive the same bytes.
 
-def write_run_csv(result: RunResult, path) -> None:
-    _write_csv(path,
-               ("seed", "flow_id", "variant", "n_weight", "throughput_Bps",
-                "base_rtt_s", "delivered_bytes", "drops", "retransmits",
-                "timeouts", "fast_retransmits"),
-               [(result.seed, f.flow_id, f.variant, f.n_weight,
-                 f.throughput_Bps, f.base_rtt_s, f.delivered_bytes, f.drops,
-                 f.retransmits, f.timeouts, f.fast_retransmits)
-                for f in result.flows])
-
-
-def write_gain_csv(samples, path) -> None:
-    _write_csv(path, ("variant", "n", "seed", "gain"),
-               [(s.variant, s.n_weight, s.seed, s.gain) for s in samples])
+def write_run_csv(result: RunResult, target) -> None:
+    write_csv(target,
+              ("seed", "flow_id", "variant", "n_weight", "throughput_Bps",
+               "base_rtt_s", "delivered_bytes", "drops", "retransmits",
+               "timeouts", "fast_retransmits"),
+              [(result.seed, f.flow_id, f.variant, f.n_weight,
+                f.throughput_Bps, f.base_rtt_s, f.delivered_bytes, f.drops,
+                f.retransmits, f.timeouts, f.fast_retransmits)
+               for f in result.flows])
 
 
-def write_gain_summary_csv(summaries, path) -> None:
-    _write_csv(path, ("variant", "n", "mean_gain", "std_gain", "seeds"),
-               [(s.variant, s.n_weight, s.mean_gain, s.std_gain, s.seeds)
-                for s in summaries])
+def write_gain_csv(samples, target) -> None:
+    write_csv(target, ("variant", "n", "seed", "gain"),
+              [(s.variant, s.n_weight, s.seed, s.gain) for s in samples])
 
 
-def write_fairness_csv(samples, path) -> None:
-    _write_csv(path, ("n", "seed", "std_over_mean"),
-               [(s.n_weight, s.seed, s.std_over_mean) for s in samples])
+def write_gain_summary_csv(summaries, target) -> None:
+    write_csv(target, ("variant", "n", "mean_gain", "std_gain", "seeds"),
+              [(s.variant, s.n_weight, s.mean_gain, s.std_gain, s.seeds)
+               for s in summaries])
 
 
-def write_fairness_summary_csv(summaries, path) -> None:
-    _write_csv(path, ("n", "mean_std_over_mean", "std", "seeds"),
-               [(s.n_weight, s.mean, s.std, s.seeds) for s in summaries])
+def write_fairness_csv(samples, target) -> None:
+    write_csv(target, ("n", "seed", "std_over_mean"),
+              [(s.n_weight, s.seed, s.std_over_mean) for s in samples])
 
 
-def emit_results(result, path) -> None:
-    """Write whichever result shape was produced to a CSV file."""
-    if isinstance(result, RunResult):
-        write_run_csv(result, path)
-        return
-    items = list(result)
-    if not items:
-        raise ValueError("nothing to emit")
-    if isinstance(items[0], GainSample):
-        write_gain_csv(items, path)
-    elif isinstance(items[0], GainSummary):
-        write_gain_summary_csv(items, path)
-    elif isinstance(items[0], FairnessSample):
-        write_fairness_csv(items, path)
-    elif isinstance(items[0], FairnessSummary):
-        write_fairness_summary_csv(items, path)
-    else:
-        raise TypeError(f"cannot emit {type(items[0]).__name__} rows")
+def write_fairness_summary_csv(summaries, target) -> None:
+    write_csv(target, ("n", "mean_std_over_mean", "std", "seeds"),
+              [(s.n_weight, s.mean, s.std, s.seeds) for s in summaries])
 
 
-def _write_csv(path, header, rows) -> None:
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise OSError(f"cannot write results to {path}: {exc}") from exc
+def write_csv(target, header, rows) -> None:
+    """Write a header line and rows to a path or an open text stream."""
+    if not hasattr(target, "write"):
+        try:
+            with open(target, "w", newline="") as fh:
+                return write_csv(fh, header, rows)
+        except OSError as exc:
+            raise OSError(f"cannot write results to {target}: {exc}") from exc
+    writer = csv.writer(target)
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 # -- scenario files --------------------------------------------------------

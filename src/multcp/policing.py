@@ -23,11 +23,11 @@ from __future__ import annotations
 import csv
 import math
 import statistics
+from bisect import bisect_left
 from dataclasses import dataclass
 
+from .engine import NS_PER_SEC
 from .tcp import TraceRecord
-
-NS_PER_SEC = 1_000_000_000
 
 TRACE_COLUMNS = ("time_ns", "flow_id", "event", "cwnd_before", "cwnd_after",
                  "seq", "ack")
@@ -193,7 +193,7 @@ def _ratios_from_wire(records, *, before_window: int = 10,
     values = [v for _, v in series]
     ratios = []
     for pos in positions:
-        k = _bisect(indices, pos)
+        k = bisect_left(indices, pos)
         before = values[max(0, k - before_window):k]
         after = values[k:k + after_window]
         if not before or not after:
@@ -223,17 +223,6 @@ def _crossovers_from_wire(records) -> list[float]:
             prev_per_ack = None
             sent_since_ack = 0
     return windows
-
-
-def _bisect(a: list[int], x: int) -> int:
-    lo, hi = 0, len(a)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if a[mid] < x:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,8 @@ sequencing, retransmission and timer logic.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-
-NS_PER_SEC = 1_000_000_000
 
 VARIANTS = ("tahoe", "reno", "newreno", "sack")
 
@@ -153,12 +152,12 @@ class _IntervalSet:
         return len(self.starts)
 
     def __contains__(self, x: int) -> bool:
-        i = _bisect_right(self.starts, x)
+        i = bisect_right(self.starts, x)
         return i > 0 and x < self.ends[i - 1]
 
     def add(self, x: int) -> bool:
         """Insert one integer; returns False if it was already covered."""
-        i = _bisect_right(self.starts, x)
+        i = bisect_right(self.starts, x)
         if i > 0 and x < self.ends[i - 1]:
             return False
         touches_prev = i > 0 and self.ends[i - 1] == x
@@ -181,7 +180,7 @@ class _IntervalSet:
         """Insert [a, b); returns the sub-ranges that were actually new."""
         if a >= b:
             return []
-        i = _bisect_right(self.starts, a)
+        i = bisect_right(self.starts, a)
         if i > 0 and self.ends[i - 1] >= a:
             i -= 1      # overlaps or touches from the left
         j = i
@@ -215,7 +214,7 @@ class _IntervalSet:
 
     def count_below(self, x: int) -> int:
         """How many covered values are < x."""
-        i = _bisect_right(self.starts, x)
+        i = bisect_right(self.starts, x)
         total = 0
         for k in range(i):
             total += min(self.ends[k], x) - self.starts[k]
@@ -230,21 +229,10 @@ class _IntervalSet:
         return list(zip(self.starts, self.ends))
 
     def range_containing(self, x: int) -> tuple[int, int] | None:
-        i = _bisect_right(self.starts, x)
+        i = bisect_right(self.starts, x)
         if i > 0 and x < self.ends[i - 1]:
             return self.starts[i - 1], self.ends[i - 1]
         return None
-
-
-def _bisect_right(a: list[int], x: int) -> int:
-    lo, hi = 0, len(a)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if x < a[mid]:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 class TcpReceiver:

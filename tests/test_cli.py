@@ -62,6 +62,32 @@ def test_simulate_defaults_to_stdout(tmp_path, capsys):
     assert len(out) == 3
 
 
+def test_simulate_stdout_matches_output_file(tmp_path, capsysbinary):
+    scenario = write_scenario(tmp_path)
+    out = tmp_path / "flows.csv"
+    assert main(["simulate", str(scenario), "-o", str(out)]) == 0
+    capsysbinary.readouterr()
+    assert main(["simulate", str(scenario)]) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
+
+
+@pytest.mark.parametrize("where, key, value, message", [
+    ("links", "bandwidth", 0, "bandwidth"),
+    ("links", "bandwidth", -1e6, "bandwidth"),
+    ("top", "duration", float("inf"), "duration"),
+    ("top", "payload", 0, "payload"),
+])
+def test_simulate_rejects_invalid_values(tmp_path, capsys, where, key, value,
+                                         message):
+    data = yaml.safe_load(yaml.safe_dump(SCENARIO))     # deep copy
+    (data["links"][0] if where == "links" else data)[key] = value
+    rc = main(["simulate", str(write_scenario(tmp_path, data))])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+
+
 def test_simulate_missing_scenario_fails(tmp_path, capsys):
     rc = main(["simulate", str(tmp_path / "nope.yaml")])
     assert rc == 1
@@ -208,6 +234,16 @@ def test_sweep_gain_writes_both_csvs(tmp_path):
     assert summary[0] == ["variant", "n", "mean_gain", "std_gain", "seeds"]
     assert len(samples) == 2 and len(summary) == 2
     assert float(samples[1][3]) > 1.0     # weight 2 beats weight 1
+
+
+def test_sweep_gain_stdout_is_the_summary_file(tmp_path, capsysbinary):
+    argv = ["sweep", "gain", "--variant", "reno", "--n-grid", "2",
+            "--seeds", "1", "--flows", "2"]
+    assert main(argv + ["-o", str(tmp_path)]) == 0
+    capsysbinary.readouterr()
+    assert main(argv) == 0
+    assert capsysbinary.readouterr().out == \
+        (tmp_path / "gain_summary.csv").read_bytes()
 
 
 def test_sweep_fairness_summary_to_stdout(capsys):

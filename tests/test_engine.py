@@ -151,10 +151,3 @@ def test_trace_records_when_enabled():
     times = [r.time_ns for r in sim.trace]
     assert times == sorted(times)
 
-
-def test_snapshot_shape():
-    sim = Simulation(two_flow_scenario()).run_until(2.0)
-    snap = sim.snapshot()
-    assert [s.flow_id for s in snap] == [0, 1]
-    assert all(s.base_rtt_s > 0 for s in snap)
-    assert snap[0].variant == "sack" and snap[1].variant == "reno"

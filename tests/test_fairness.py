@@ -1,5 +1,7 @@
 """Max-min and proportional fairness: allocators and checkers."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -161,3 +163,24 @@ def test_random_instances_satisfy_kkt():
         alloc = wpf_allocate(net, w)
         assert alloc.kkt_residual <= 1e-5
         assert net.is_feasible(alloc.rates, tol=1e-6)
+
+
+def test_converged_allocations_pass_the_pf_check():
+    # random three-link, four-connection networks; the solver stops at a
+    # small positive overload, which the PF check must accept
+    rng = random.Random(0)
+    links = ["l0", "l1", "l2"]
+    converged = 0
+    for _ in range(60):
+        caps = {name: rng.uniform(1.0, 100.0) for name in links}
+        routes = tuple(tuple(sorted(rng.sample(links, rng.randint(1, 3))))
+                       for _ in range(4))
+        net = Network(capacities=caps, routes=routes)
+        weights = [rng.uniform(0.1, 10.0) for _ in routes]
+        alloc = wpf_allocate(net, weights)
+        if not alloc.converged:
+            continue
+        converged += 1
+        verdict = check_weighted_pf(net, alloc.rates, weights, samples=2000)
+        assert verdict.passed, (caps, routes, weights, verdict.detail)
+    assert converged >= 50

@@ -1,0 +1,76 @@
+"""Byte-level pins of seeded output.
+
+Each digest is the SHA-256 of bytes written by a seeded run: the
+`simulate` stdout for the demo scenario, the run and trace CSVs of a
+short dumbbell, and both sweeps on a tiny grid, to files and to stdout.
+A change to the simulator, the experiment loop or the CSV writers that
+moves any byte fails here.  Where two outputs must be the same bytes
+(stdout against -o, sweep stdout against the summary file) they share
+one digest.
+"""
+
+import hashlib
+from pathlib import Path
+
+from multcp.cli import main
+from multcp.harness import (DumbbellParams, build_dumbbell, run_scenario,
+                            write_run_csv)
+from multcp.policing import write_trace_csv
+
+DEMO = Path(__file__).resolve().parent.parent / "demos" / "two_flow.yaml"
+
+SIMULATE_DEMO = "77b4926f3870acf01f2824cd63ab884a9c54d14c77e62cf899f0be454738c71d"
+RUN_CSV = "20627cadc727058d486bb518281c85cf86e1056cdd7a048772b59744e739612e"
+TRACE_CSV = "442b7bfcc13b9943d59efb37afa8c0609d04593a864d779d8f7ae03febe1effd"
+GAIN_CSV = "d8042202d06858b1c8f0db3c0180de3fabd7d65a56d41071854921e8c614c08a"
+GAIN_SUMMARY = "d88606447a6a1e39be9999128630091445a41dba5925799437c4b07be8507d37"
+FAIRNESS_CSV = "512e1fa1d61bec0c81b57a188ae83990435d7bea4e40056b02d523feb5a67ac5"
+FAIRNESS_SUMMARY = "e4c6c314d6fa22c1a4276324d6e740e77c25da970103cfd16e4d7821105930ed"
+
+GAIN_ARGS = ["sweep", "gain", "--variant", "newreno", "--n-grid", "2",
+             "--seeds", "2", "--flows", "2"]
+FAIRNESS_ARGS = ["sweep", "fairness", "--variant", "reno", "--n-grid", "2",
+                 "--seeds", "2", "--flows", "3"]
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def stdout_of(argv, capsysbinary) -> bytes:
+    capsysbinary.readouterr()
+    assert main(argv) == 0
+    return capsysbinary.readouterr().out
+
+
+def test_simulate_demo_stdout_and_file(tmp_path, capsysbinary):
+    assert sha256(stdout_of(["simulate", str(DEMO)], capsysbinary)) \
+        == SIMULATE_DEMO
+    out = tmp_path / "flows.csv"
+    assert main(["simulate", str(DEMO), "-o", str(out)]) == 0
+    assert sha256(out.read_bytes()) == SIMULATE_DEMO
+
+
+def test_short_dumbbell_run_and_trace_csv(tmp_path):
+    params = DumbbellParams(duration_s=12.0, warmup_s=2.0)
+    result = run_scenario(build_dumbbell(4, params, weights=[3.0, 1.0, 1.0, 1.0],
+                                         seed=7, trace=True))
+    write_run_csv(result, tmp_path / "run.csv")
+    write_trace_csv(result.trace, tmp_path / "trace.csv")
+    assert sha256((tmp_path / "run.csv").read_bytes()) == RUN_CSV
+    assert sha256((tmp_path / "trace.csv").read_bytes()) == TRACE_CSV
+
+
+def test_sweep_gain_files_and_stdout(tmp_path, capsysbinary):
+    assert main(GAIN_ARGS + ["-o", str(tmp_path)]) == 0
+    assert sha256((tmp_path / "gain.csv").read_bytes()) == GAIN_CSV
+    assert sha256((tmp_path / "gain_summary.csv").read_bytes()) == GAIN_SUMMARY
+    assert sha256(stdout_of(GAIN_ARGS, capsysbinary)) == GAIN_SUMMARY
+
+
+def test_sweep_fairness_files_and_stdout(tmp_path, capsysbinary):
+    assert main(FAIRNESS_ARGS + ["-o", str(tmp_path)]) == 0
+    assert sha256((tmp_path / "fairness.csv").read_bytes()) == FAIRNESS_CSV
+    assert sha256((tmp_path / "fairness_summary.csv").read_bytes()) \
+        == FAIRNESS_SUMMARY
+    assert sha256(stdout_of(FAIRNESS_ARGS, capsysbinary)) == FAIRNESS_SUMMARY

@@ -1,6 +1,7 @@
 """Scenario construction, experiment plumbing, YAML and CSV formats."""
 
 import dataclasses
+import io
 
 import pytest
 import yaml
@@ -9,10 +10,12 @@ from multcp.aqm import RedParams
 from multcp.engine import Scenario
 from multcp.harness import (BOTTLENECK, DumbbellParams, FairnessSample,
                             GainSample, ScenarioError, build_dumbbell,
-                            dispersion, emit_results, load_scenario,
-                            run_gain_experiment, run_scenario,
-                            scenario_from_dict, summarize_fairness,
-                            summarize_gain, write_run_csv)
+                            dispersion, load_scenario, run_gain_experiment,
+                            run_scenario, scenario_from_dict,
+                            summarize_fairness, summarize_gain,
+                            write_fairness_csv, write_fairness_summary_csv,
+                            write_gain_csv, write_gain_summary_csv,
+                            write_run_csv)
 
 QUICK = DumbbellParams(duration_s=12.0, warmup_s=2.0)
 
@@ -166,21 +169,20 @@ def test_run_csv_is_deterministic(tmp_path):
     assert header.startswith("seed,flow_id,variant,n_weight,throughput_Bps")
 
 
-def test_emit_results_dispatches_on_row_type(tmp_path):
-    gain = [GainSample("sack", 2.0, 0, 1.9, 210.0, 110.0)]
-    fair = [FairnessSample(2.0, 0, 0.07)]
-    emit_results(gain, tmp_path / "gain.csv")
-    emit_results(summarize_gain(gain), tmp_path / "gs.csv")
-    emit_results(fair, tmp_path / "fair.csv")
-    emit_results(summarize_fairness(fair), tmp_path / "fs.csv")
-    assert (tmp_path / "gain.csv").read_text().splitlines()[0] == \
-        "variant,n,seed,gain"
-    assert (tmp_path / "fair.csv").read_text().splitlines()[0] == \
-        "n,seed,std_over_mean"
-    with pytest.raises(ValueError):
-        emit_results([], tmp_path / "x.csv")
-    with pytest.raises(TypeError):
-        emit_results([object()], tmp_path / "x.csv")
+def test_writers_accept_a_path_or_a_stream(tmp_path):
+    gain = [GainSample("sack", 2.0, 1, 1.9, 210.0, 110.0),
+            GainSample("sack", 2.0, 0, 2.1, 230.0, 110.0)]
+    fair = [FairnessSample(2.0, 0, 0.07), FairnessSample(1.0, 0, 0.05)]
+    assert [s.n_weight for s in summarize_fairness(fair)] == [1.0, 2.0]
+    for write, rows in ((write_gain_csv, gain),
+                        (write_gain_summary_csv, summarize_gain(gain)),
+                        (write_fairness_csv, fair),
+                        (write_fairness_summary_csv, summarize_fairness(fair))):
+        stream = io.StringIO(newline="")
+        write(rows, stream)
+        write(rows, tmp_path / "out.csv")
+        assert stream.getvalue().encode() == (tmp_path / "out.csv").read_bytes()
+        assert stream.getvalue().endswith("\r\n")
 
 
 def test_csv_write_failure_names_the_path(tmp_path):
