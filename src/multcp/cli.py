@@ -124,12 +124,18 @@ def _floats(text: str, what: str) -> list[float]:
 
 def _cmd_simulate(args) -> int:
     scenario = harness.load_scenario(args.scenario)
-    if args.trace_out and not scenario.trace:
-        scenario = dataclasses.replace(scenario, trace=True)
-    result = harness.run_scenario(scenario)
+    if not args.trace_out:
+        result = harness.run_scenario(scenario)
+    else:
+        # open the trace file first, so a bad path fails before any output
+        try:
+            trace_file = open(args.trace_out, "w", newline="")
+        except OSError as exc:
+            raise OSError(f"cannot write trace to {args.trace_out}: {exc}") from exc
+        with trace_file:
+            result = harness.run_scenario(dataclasses.replace(scenario, trace=True))
+            write_trace_csv(result.trace, trace_file)
     harness.write_run_csv(result, args.output or sys.stdout)
-    if args.trace_out:
-        write_trace_csv(result.trace, args.trace_out)
     return 0
 
 

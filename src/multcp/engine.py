@@ -15,6 +15,11 @@ queue occupancy at each arrival.
 
 Acks are 40 bytes, never queued and never dropped: the return path is
 pure delay, the sum of the forward links' propagation delays.
+
+Each flow has at most one live retransmission-timer event, the one at
+`Flow._timer_event_ns`.  An earlier deadline pushes a new event and
+leaves the old one in the heap; that stale event is dropped unread when
+it is popped (lazy deletion), so it neither checks nor re-arms the timer.
 """
 
 from __future__ import annotations
@@ -66,6 +71,12 @@ class LinkSpec:
         if not (math.isfinite(self.bandwidth_bps) and self.bandwidth_bps > 0):
             raise ValueError(f"link {self.name!r}: bandwidth must be finite "
                              f"and positive, got {self.bandwidth_bps!r}")
+        if not (math.isfinite(self.delay_s) and self.delay_s >= 0):
+            raise ValueError(f"link {self.name!r}: delay must be finite "
+                             f"and non-negative, got {self.delay_s!r}")
+        if self.limit < 1:
+            raise ValueError(f"link {self.name!r}: limit must be at least 1, "
+                             f"got {self.limit!r}")
 
 
 @dataclass(frozen=True)
@@ -81,6 +92,13 @@ class FlowSpec:
     bulk_bytes: int | None = None
     ssthresh: int = 64
     advertised_bytes: int | None = None     # receive-buffer cap
+
+    def __post_init__(self) -> None:
+        if self.ssthresh < 2:
+            raise ValueError(f"ssthresh must be at least 2, got {self.ssthresh!r}")
+        if self.stop_s is not None and not self.stop_s > self.start_s:
+            raise ValueError(f"stop must be after start ({self.start_s!r}), "
+                             f"got {self.stop_s!r}")
 
 
 @dataclass(frozen=True)
@@ -99,6 +117,8 @@ class Scenario:
             raise ValueError(f"payload must be positive, got {self.payload_bytes!r}")
         if not math.isfinite(self.duration_s):
             raise ValueError(f"duration must be finite, got {self.duration_s!r}")
+        if not self.warmup_s >= 0:
+            raise ValueError(f"warmup must be non-negative, got {self.warmup_s!r}")
 
 
 class Packet:
@@ -111,20 +131,32 @@ class Packet:
         self.hop = 0    # index of the next link on the route
 
 
-class FifoLink:
-    """Drop-tail link with analytic FIFO service (one event per packet)."""
+class _Link:
+    """Name, rate and propagation delay, common to both link kinds."""
 
     def __init__(self, spec: LinkSpec) -> None:
         self.name = spec.name
         self.bandwidth_bps = float(spec.bandwidth_bps)
         self.delay_ns = ns_from_s(spec.delay_s)
+        self._ser_ns: dict[int, int] = {}    # packet size -> serialisation time
+
+    def ser_ns(self, size_bytes: int) -> int:
+        ser = self._ser_ns.get(size_bytes)
+        if ser is None:
+            ser = int(round(size_bytes * 8 * NS_PER_SEC / self.bandwidth_bps))
+            self._ser_ns[size_bytes] = ser
+        return ser
+
+
+class FifoLink(_Link):
+    """Drop-tail link with analytic FIFO service (one event per packet)."""
+
+    def __init__(self, spec: LinkSpec) -> None:
+        super().__init__(spec)
         self.limit = spec.limit
         self.busy_until_ns = 0
         self.bits_admitted = 0
         self.drops = 0
-
-    def ser_ns(self, size_bytes: int) -> int:
-        return int(round(size_bytes * 8 * NS_PER_SEC / self.bandwidth_bps))
 
     def offer(self, sim: "Simulation", pkt: Packet, now_ns: int) -> bool:
         ser = self.ser_ns(pkt.size)
@@ -143,22 +175,17 @@ class FifoLink:
         return self.bits_admitted - self.bandwidth_bps * backlog_ns / NS_PER_SEC
 
 
-class RedLink:
+class RedLink(_Link):
     """Link whose queue is RED-managed; service is event-driven."""
 
     def __init__(self, spec: LinkSpec, params: RedParams, rng: random.Random,
                  typical_packet_bytes: int) -> None:
-        self.name = spec.name
-        self.bandwidth_bps = float(spec.bandwidth_bps)
-        self.delay_ns = ns_from_s(spec.delay_s)
+        super().__init__(spec)
         self.queue = RedQueue(params, rng,
                               idle_pkt_time_ns=self.ser_ns(typical_packet_bytes))
         self.in_service: Packet | None = None
         self.bits_forwarded = 0
         self.drops = 0
-
-    def ser_ns(self, size_bytes: int) -> int:
-        return int(round(size_bytes * 8 * NS_PER_SEC / self.bandwidth_bps))
 
     def offer(self, sim: "Simulation", pkt: Packet, now_ns: int) -> bool:
         if not self.queue.enqueue(pkt, now_ns):
@@ -211,7 +238,7 @@ class Flow:
         self.sent_packets = 0
         self.arrived_packets = 0
         self.drops = 0
-        self._timer_event_ns: int | None = None
+        self._timer_event_ns: int | None = None     # the live timer event
 
     def delivered_bytes(self) -> int:
         return self.receiver.cum_ack * self.payload_bytes
@@ -269,8 +296,9 @@ class Simulation:
         """Process every event with time <= t_s, then park the clock there."""
         end_ns = ns_from_s(t_s)
         heap = self._heap
+        heappop = heapq.heappop
         while heap and heap[0][0] <= end_ns:
-            time_ns, _, kind, payload = heapq.heappop(heap)
+            time_ns, _, kind, payload = heappop(heap)
             self.clock_ns = time_ns
             if kind == _ARRIVAL:
                 self._on_arrival(payload, time_ns)
@@ -312,6 +340,8 @@ class Simulation:
         self._sync_timer(flow)
 
     def _on_timer(self, flow: Flow, now_ns: int) -> None:
+        if now_ns != flow._timer_event_ns:
+            return      # stale: superseded by an earlier deadline
         flow._timer_event_ns = None
         sends = flow.sender.on_timer_check(now_ns)
         self._dispatch_sends(flow, sends, now_ns)

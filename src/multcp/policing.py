@@ -289,18 +289,26 @@ def bill(declarations, period: tuple[int, int]) -> float:
 
 # -- file formats ----------------------------------------------------------
 
-def write_trace_csv(records, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for r in records:
-            writer.writerow([
-                r.time_ns, r.flow_id, r.event,
-                "" if r.cwnd_before is None else repr(r.cwnd_before),
-                "" if r.cwnd_after is None else repr(r.cwnd_after),
-                "" if r.seq is None else r.seq,
-                "" if r.ack is None else r.ack,
-            ])
+def write_trace_csv(records, target) -> None:
+    """Write trace records to a path or an open text stream."""
+    if hasattr(target, "write"):
+        _write_trace_rows(records, target)
+    else:
+        with open(target, "w", newline="") as fh:
+            _write_trace_rows(records, fh)
+
+
+def _write_trace_rows(records, target) -> None:
+    writer = csv.writer(target)
+    writer.writerow(TRACE_COLUMNS)
+    for r in records:
+        writer.writerow([
+            r.time_ns, r.flow_id, r.event,
+            "" if r.cwnd_before is None else repr(r.cwnd_before),
+            "" if r.cwnd_after is None else repr(r.cwnd_after),
+            "" if r.seq is None else r.seq,
+            "" if r.ack is None else r.ack,
+        ])
 
 
 def read_trace_csv(path) -> list[TraceRecord]:

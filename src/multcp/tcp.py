@@ -214,6 +214,8 @@ class _IntervalSet:
 
     def count_below(self, x: int) -> int:
         """How many covered values are < x."""
+        if not self.ends or self.ends[-1] <= x:
+            return self.total
         i = bisect_right(self.starts, x)
         total = 0
         for k in range(i):
@@ -290,6 +292,8 @@ class TcpSender:
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
         self.variant = variant
+        self._sack = variant == "sack"
+        self._renoish = variant in ("reno", "newreno")
         self.flow_id = flow_id
         self.state = CongestionState(n_weight=n_weight, ssthresh=initial_ssthresh)
         self.advertised = advertised if advertised is not None else 1 << 30
@@ -335,7 +339,7 @@ class TcpSender:
 
     def in_flight(self) -> int:
         out = self.next_seq - self.cum_ack
-        if self.variant == "sack":
+        if self._sack:
             # Count only the transmission window: after a timeout rewind the
             # scoreboard may hold blocks at or above next_seq, and subtracting
             # those would underflow the estimate and mis-disarm the timer.
@@ -357,25 +361,31 @@ class TcpSender:
         if not self.active:
             return sends
         extra = 0
-        if self.variant in ("reno", "newreno") and not self.in_recovery:
+        if self._renoish and not self.in_recovery:
             extra = min(self.dupacks, 2)    # limited transmit
-        while self.in_flight() < min(int(self.state.cwnd) + extra, self.advertised):
-            if self.variant == "sack" and self.lost:
+        window = min(int(self.state.cwnd) + extra, self.advertised)
+        # Every emitted segment raises in_flight() by one; skipping a sacked
+        # segment advances next_seq and the sacked count below it together.
+        in_flight = self.in_flight()
+        while in_flight < window:
+            if self._sack and self.lost:
                 seq = min(self.lost)
                 self.lost.discard(seq)
                 self.retx_marked[seq] = self.next_seq
                 self._emit(sends, seq, True, now_ns)
+                in_flight += 1
                 continue
             if self.bulk_segments is not None and self.next_seq >= self.bulk_segments:
                 break
             seq = self.next_seq
             self.next_seq += 1
-            if self.variant == "sack" and seq in self.sacked:
+            if self._sack and seq in self.sacked:
                 continue    # receiver already holds it (post-timeout resend)
             is_retx = seq <= self.highest_sent
-            if is_retx and self.variant == "sack":
+            if is_retx and self._sack:
                 self.retx_marked[seq] = self.next_seq
             self._emit(sends, seq, is_retx, now_ns)
+            in_flight += 1
         return sends
 
     def _emit(self, sends: list[tuple[int, bool]], seq: int,
@@ -393,7 +403,8 @@ class TcpSender:
                 self._timing_sent_ns = now_ns
         if self.timer_deadline_ns is None:
             self.timer_deadline_ns = now_ns + self._effective_rto()
-        self._record(now_ns, "data-sent", seq=seq)
+        if self.trace is not None:
+            self._record(now_ns, "data-sent", seq=seq)
 
     # -- ack processing ---------------------------------------------------
 
@@ -402,21 +413,23 @@ class TcpSender:
         """Process one ack; returns segments to transmit right now."""
         sends: list[tuple[int, bool]] = []
 
-        if self.variant == "sack":
+        if self._sack:
             for a, b in sack_blocks:
                 a = max(a, self.cum_ack)
                 if a >= b:
                     continue
-                for ga, gb in self.sacked.add_range(a, b):
-                    for x in range(ga, gb):
-                        self.lost.discard(x)
+                new_ranges = self.sacked.add_range(a, b)
+                if self.lost:
+                    for ga, gb in new_ranges:
+                        for x in range(ga, gb):
+                            self.lost.discard(x)
 
         if ack > self.cum_ack:
             self._on_advance(ack, now_ns, sends)
         elif ack == self.cum_ack and self.next_seq > self.cum_ack:
             self._on_duplicate(now_ns, sends)
 
-        if self.variant == "sack":
+        if self._sack:
             self.update_scoreboard()
             if (not self.in_recovery and not self.lost
                     and self.cum_ack < self.next_seq and self.sacked.total
@@ -441,12 +454,14 @@ class TcpSender:
         self.cum_ack = ack
         if self.next_seq < ack:
             self.next_seq = ack     # catch up after a timeout rewind
-        if self.variant == "sack":
+        if self._sack:
             self.sacked.prune_below(ack)
-            for s in [s for s in self.lost if s < ack]:
-                self.lost.discard(s)
-            for s in [s for s in self.retx_marked if s < ack]:
-                del self.retx_marked[s]
+            if self.lost:
+                for s in [s for s in self.lost if s < ack]:
+                    self.lost.discard(s)
+            if self.retx_marked:
+                for s in [s for s in self.retx_marked if s < ack]:
+                    del self.retx_marked[s]
             if self._loss_scan_floor < ack:
                 self._loss_scan_floor = ack
 
@@ -472,7 +487,8 @@ class TcpSender:
                 on_ack_slow_start(st)
             else:
                 on_ack_congestion_avoidance(st)
-            self._record(now_ns, "ack-received", before=before, ack=ack)
+            if self.trace is not None:
+                self._record(now_ns, "ack-received", before=before, ack=ack)
 
         if self.cum_ack < self.next_seq:
             self.timer_deadline_ns = now_ns + self._effective_rto()
@@ -482,11 +498,11 @@ class TcpSender:
     def _on_duplicate(self, now_ns: int, sends: list[tuple[int, bool]]) -> None:
         st = self.state
         if self.in_recovery:
-            if self.variant in ("reno", "newreno"):
+            if self._renoish:
                 st.cwnd += 1.0      # window inflation: the dupack left the network
             return
         self.dupacks += 1
-        if self.variant == "sack":
+        if self._sack:
             return      # sack recovery is triggered by the scoreboard
         if self.dupacks == DUPACK_THRESHOLD and self.cum_ack > self.guard_point:
             self._enter_recovery(now_ns, sends)
@@ -496,10 +512,10 @@ class TcpSender:
         self.in_recovery = False
         self.dupacks = 0
         self.retx_marked.clear()
-        if self.variant in ("reno", "newreno"):
+        if self._renoish:
             st.cwnd = float(st.ssthresh)    # deflate
         st.phase = SLOW_START if st.cwnd < st.ssthresh else CONGESTION_AVOIDANCE
-        if self.variant == "sack" and self.lost:
+        if self._sack and self.lost:
             # holes above the old recovery point belong to a new episode
             self._enter_recovery(now_ns, sends)
 
@@ -524,7 +540,7 @@ class TcpSender:
         self.in_recovery = True
         self.recovery_point = self.next_seq
         st.phase = FAST_RECOVERY
-        if self.variant == "sack":
+        if self._sack:
             if self.cum_ack not in self.sacked and self.cum_ack not in self.retx_marked:
                 self.lost.add(self.cum_ack)
         else:
@@ -573,7 +589,7 @@ class TcpSender:
         self.in_recovery = False
         self.guard_point = max(self.guard_point, self.next_seq)
         self.next_seq = self.cum_ack    # rewind; the resend path skips sacked data
-        if self.variant == "sack":
+        if self._sack:
             self.lost.clear()
             self.retx_marked.clear()
             self._loss_scan_floor = self.cum_ack

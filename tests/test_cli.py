@@ -74,18 +74,34 @@ def test_simulate_stdout_matches_output_file(tmp_path, capsysbinary):
 @pytest.mark.parametrize("where, key, value, message", [
     ("links", "bandwidth", 0, "bandwidth"),
     ("links", "bandwidth", -1e6, "bandwidth"),
+    ("links", "delay", -0.01, "delay"),
+    ("links", "limit", 0, "limit"),
+    ("flows", "ssthresh", 1, "ssthresh"),
+    ("flows", "stop", 0.0, "stop"),
     ("top", "duration", float("inf"), "duration"),
     ("top", "payload", 0, "payload"),
+    ("top", "warmup", -1.0, "warmup"),
 ])
 def test_simulate_rejects_invalid_values(tmp_path, capsys, where, key, value,
                                          message):
     data = yaml.safe_load(yaml.safe_dump(SCENARIO))     # deep copy
-    (data["links"][0] if where == "links" else data)[key] = value
+    (data if where == "top" else data[where][0])[key] = value
     rc = main(["simulate", str(write_scenario(tmp_path, data))])
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+
+
+def test_simulate_bad_trace_path_fails_before_any_output(tmp_path, capsys):
+    trace = tmp_path / "missing" / "trace.csv"
+    rc = main(["simulate", str(write_scenario(tmp_path)), "--trace-out",
+               str(trace)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: cannot write trace to {trace}:")
 
 
 def test_simulate_missing_scenario_fails(tmp_path, capsys):

@@ -1,10 +1,14 @@
 """Event engine: links, scheduling, determinism, conservation."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multcp.aqm import RedParams
-from multcp.engine import (FifoLink, FlowSpec, LinkSpec, Packet, Scenario,
-                           Simulation, SimulationError, ns_from_s, s_from_ns)
+from multcp.engine import (_TIMER, FifoLink, FlowSpec, LinkSpec, Packet,
+                           Scenario, Simulation, SimulationError, ns_from_s,
+                           s_from_ns)
+from multcp.harness import DumbbellParams, build_dumbbell
+from multcp.tcp import VARIANTS
 
 
 def two_flow_scenario(seed=0, queue="red", duration=8.0, **red_kw):
@@ -151,3 +155,72 @@ def test_trace_records_when_enabled():
     times = [r.time_ns for r in sim.trace]
     assert times == sorted(times)
 
+
+
+def timer_times(sim, flow):
+    """Times of every timer event queued for one flow, stale ones included."""
+    return [t for t, _, kind, payload in sim._heap
+            if kind == _TIMER and payload is flow]
+
+
+def check_timers(sim):
+    """One live timer event per flow, due no later than the deadline."""
+    for flow in sim.flows:
+        times = timer_times(sim, flow)
+        live = flow._timer_event_ns
+        assert times.count(live) <= 1
+        deadline = flow.sender.timer_deadline_ns
+        if deadline is not None:
+            assert live in times and live <= deadline
+
+
+def test_each_flow_keeps_one_live_timer_over_a_long_run():
+    # The paper's run: 22 SACK flows over 70 s, flow 0 at N=4.  A superseded
+    # timer event that re-armed the timer when popped would leave another
+    # stale event behind, and the count would grow with simulated time.
+    sim = Simulation(build_dumbbell(22, variant="sack",
+                                    weights=[4.0] + [1.0] * 21, seed=1))
+    for t in range(1, 71):
+        sim.run_until(float(t))
+        check_timers(sim)
+        for flow in sim.flows:
+            assert len(timer_times(sim, flow)) <= 3
+
+
+def run_state(sim):
+    return ([(f.delivered_bytes(), f.sent_packets, f.arrived_packets, f.drops,
+              f.sender.state.cwnd, f.sender.timeouts, f.sender.retransmits,
+              f.sender.fast_retransmits) for f in sim.flows],
+            {name: link.delivered_bits(sim.clock_ns)
+             for name, link in sim.links.items()},
+            sim.trace)
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(st.data())
+def test_invariants_hold_at_random_cut_points(data):
+    n = data.draw(st.integers(2, 4), label="flows")
+    variants = data.draw(st.lists(st.sampled_from(VARIANTS), min_size=n,
+                                  max_size=n), label="variants")
+    weights = data.draw(st.lists(st.integers(1, 8), min_size=n, max_size=n),
+                        label="weights")
+    duration = data.draw(st.integers(2, 4), label="duration")
+    bandwidth = data.draw(st.sampled_from([2e6, 10e6]), label="bottleneck")
+    cuts = sorted(data.draw(st.lists(st.floats(0.0, duration), min_size=1,
+                                     max_size=6), label="cuts"))
+    params = DumbbellParams(bottleneck_bandwidth_bps=bandwidth,
+                            duration_s=duration, warmup_s=0.0)
+    scenario = build_dumbbell(n, params, variants=variants, weights=weights,
+                              seed=data.draw(st.integers(0, 1000), label="seed"),
+                              trace=True)
+
+    pieces = Simulation(scenario)
+    for t in cuts + [duration]:
+        pieces.run_until(t)
+        pieces.check_conservation()
+        check_timers(pieces)
+        for flow in pieces.flows:
+            assert flow.sender.in_flight() >= 0
+            assert flow.sender.state.cwnd >= 1.0
+    whole = Simulation(scenario).run_until(duration)
+    assert run_state(pieces) == run_state(whole)

@@ -2,7 +2,8 @@
 
 Each digest is the SHA-256 of bytes written by a seeded run: the
 `simulate` stdout for the demo scenario, the run and trace CSVs of a
-short dumbbell, and both sweeps on a tiny grid, to files and to stdout.
+short dumbbell, the run CSV of the paper's 22-flow SACK run, and both
+sweeps on a tiny grid, to files and to stdout.
 A change to the simulator, the experiment loop or the CSV writers that
 moves any byte fails here.  Where two outputs must be the same bytes
 (stdout against -o, sweep stdout against the summary file) they share
@@ -22,6 +23,7 @@ DEMO = Path(__file__).resolve().parent.parent / "demos" / "two_flow.yaml"
 SIMULATE_DEMO = "77b4926f3870acf01f2824cd63ab884a9c54d14c77e62cf899f0be454738c71d"
 RUN_CSV = "20627cadc727058d486bb518281c85cf86e1056cdd7a048772b59744e739612e"
 TRACE_CSV = "442b7bfcc13b9943d59efb37afa8c0609d04593a864d779d8f7ae03febe1effd"
+HEADLINE_RUN_CSV = "196de46f0cc388972f4e202abc59a4f4db33c2593f2c9df1b4a085ddf298c033"
 GAIN_CSV = "d8042202d06858b1c8f0db3c0180de3fabd7d65a56d41071854921e8c614c08a"
 GAIN_SUMMARY = "d88606447a6a1e39be9999128630091445a41dba5925799437c4b07be8507d37"
 FAIRNESS_CSV = "512e1fa1d61bec0c81b57a188ae83990435d7bea4e40056b02d523feb5a67ac5"
@@ -59,6 +61,15 @@ def test_short_dumbbell_run_and_trace_csv(tmp_path):
     write_trace_csv(result.trace, tmp_path / "trace.csv")
     assert sha256((tmp_path / "run.csv").read_bytes()) == RUN_CSV
     assert sha256((tmp_path / "trace.csv").read_bytes()) == TRACE_CSV
+
+
+def test_headline_sack_run_csv(tmp_path):
+    # 22 flows over 70 s, flow 0 at N=4: long enough for every flow's
+    # retransmission timer to be re-armed thousands of times
+    result = run_scenario(build_dumbbell(22, variant="sack",
+                                         weights=[4.0] + [1.0] * 21, seed=1))
+    write_run_csv(result, tmp_path / "run.csv")
+    assert sha256((tmp_path / "run.csv").read_bytes()) == HEADLINE_RUN_CSV
 
 
 def test_sweep_gain_files_and_stdout(tmp_path, capsysbinary):
