@@ -25,9 +25,11 @@ import math
 import statistics
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .engine import NS_PER_SEC
-from .tcp import TraceRecord
+from .tcp import (ACK_RECEIVED, DATA_SENT, LOSS_DETECTED, TIMEOUT,
+                  TRACE_EVENTS, TraceRecord)
 
 TRACE_COLUMNS = ("time_ns", "flow_id", "event", "cwnd_before", "cwnd_after",
                  "seq", "ack")
@@ -141,7 +143,7 @@ def analyze_trace(records, *, min_decrease_samples: int = 5) -> TraceAnalysis:
 def _ratios_from_cwnd(records) -> list[float]:
     ratios = []
     for r in records:
-        if r.event != "loss-detected":
+        if r.event != LOSS_DETECTED:
             continue
         if r.cwnd_before is None or r.cwnd_after is None:
             continue
@@ -155,10 +157,10 @@ def _crossovers_from_cwnd(records) -> list[float]:
     windows = []
     last_plus2: float | None = None
     for r in records:
-        if r.event in ("loss-detected", "timeout"):
+        if r.event in (LOSS_DETECTED, TIMEOUT):
             last_plus2 = None
             continue
-        if r.event != "ack-received" or r.cwnd_before is None:
+        if r.event != ACK_RECEIVED or r.cwnd_before is None:
             continue
         delta = (r.cwnd_after or 0.0) - r.cwnd_before
         if abs(delta - 2.0) < 1e-9:
@@ -176,9 +178,9 @@ def _inflight_series(records) -> list[tuple[int, float]]:
     series = []
     highest = -1
     for i, r in enumerate(records):
-        if r.event == "data-sent" and r.seq is not None:
+        if r.event == DATA_SENT and r.seq is not None:
             highest = max(highest, r.seq)
-        elif r.event == "ack-received" and r.ack is not None and highest >= 0:
+        elif r.event == ACK_RECEIVED and r.ack is not None and highest >= 0:
             series.append((i, float(highest + 1 - r.ack)))
     return series
 
@@ -188,7 +190,7 @@ def _ratios_from_wire(records, *, before_window: int = 10,
     series = _inflight_series(records)
     if not series:
         return []
-    positions = [i for i, r in enumerate(records) if r.event == "loss-detected"]
+    positions = [i for i, r in enumerate(records) if r.event == LOSS_DETECTED]
     indices = [i for i, _ in series]
     values = [v for _, v in series]
     ratios = []
@@ -211,15 +213,15 @@ def _crossovers_from_wire(records) -> list[float]:
     sent_since_ack = 0
     prev_per_ack: int | None = None
     for r in records:
-        if r.event == "data-sent" and r.seq is not None:
+        if r.event == DATA_SENT and r.seq is not None:
             highest = max(highest, r.seq)
             sent_since_ack += 1
-        elif r.event == "ack-received":
+        elif r.event == ACK_RECEIVED:
             if prev_per_ack == 3 and sent_since_ack == 2 and r.ack is not None:
                 windows.append(float(highest + 1 - r.ack))
             prev_per_ack = sent_since_ack
             sent_since_ack = 0
-        elif r.event in ("loss-detected", "timeout"):
+        elif r.event in (LOSS_DETECTED, TIMEOUT):
             prev_per_ack = None
             sent_since_ack = 0
     return windows
@@ -299,35 +301,57 @@ def write_trace_csv(records, target) -> None:
 
 
 def _write_trace_rows(records, target) -> None:
+    # csv writes None as an empty field and a float as its repr
     writer = csv.writer(target)
     writer.writerow(TRACE_COLUMNS)
-    for r in records:
-        writer.writerow([
-            r.time_ns, r.flow_id, r.event,
-            "" if r.cwnd_before is None else repr(r.cwnd_before),
-            "" if r.cwnd_after is None else repr(r.cwnd_after),
-            "" if r.seq is None else r.seq,
-            "" if r.ack is None else r.ack,
-        ])
+    writer.writerows(map(attrgetter(*TRACE_COLUMNS), records))
+
+
+# parsed event names map onto the sender's own strings, one object per kind
+_EVENT_NAMES = {name: name for name in TRACE_EVENTS}
 
 
 def read_trace_csv(path) -> list[TraceRecord]:
+    """Read a trace CSV; a bad row raises ValueError naming file and line.
+
+    Rows must have seven fields, integer time/flow/seq/ack, a known
+    event name and finite (or empty) cwnd values.
+    """
     records = []
+    append = records.append
+    events = _EVENT_NAMES
+    isfinite = math.isfinite
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(header) != TRACE_COLUMNS:
             raise ValueError(f"{path}: expected trace header {TRACE_COLUMNS}")
-        for row in reader:
-            if len(row) != len(TRACE_COLUMNS):
-                raise ValueError(f"{path}: malformed row {row!r}")
-            records.append(TraceRecord(
-                time_ns=int(row[0]), flow_id=int(row[1]), event=row[2],
-                cwnd_before=float(row[3]) if row[3] else None,
-                cwnd_after=float(row[4]) if row[4] else None,
-                seq=int(row[5]) if row[5] else None,
-                ack=int(row[6]) if row[6] else None))
+        row: list[str] = []
+        try:
+            for row in reader:
+                time_ns, flow_id, event, before, after, seq, ack = row
+                before = float(before) if before else None
+                after = float(after) if after else None
+                if (before is not None and not isfinite(before)
+                        or after is not None and not isfinite(after)):
+                    raise ValueError(f"non-finite cwnd {row[3:5]!r}")
+                append(TraceRecord(int(time_ns), int(flow_id), events[event],
+                                   before, after,
+                                   int(seq) if seq else None,
+                                   int(ack) if ack else None))
+        except (ValueError, KeyError, csv.Error) as exc:
+            raise ValueError(f"{path}, line {reader.line_num}: "
+                             f"{_row_problem(row, exc)}") from None
     return records
+
+
+def _row_problem(row: list[str], exc: Exception) -> str:
+    if isinstance(exc, KeyError):
+        return (f"unknown event {row[2]!r}, expected one of "
+                f"{', '.join(TRACE_EVENTS)}")
+    if len(row) != len(TRACE_COLUMNS) and not isinstance(exc, csv.Error):
+        return f"expected {len(TRACE_COLUMNS)} fields, got {len(row)}"
+    return str(exc)
 
 
 def write_declarations_csv(declarations, path) -> None:

@@ -34,6 +34,13 @@ RTO_MAX_NS = 60_000_000_000
 RTO_GRANULARITY_NS = 1_000_000
 DUPACK_THRESHOLD = 3
 
+# trace event names; readers map parsed names onto these shared strings
+DATA_SENT = "data-sent"
+ACK_RECEIVED = "ack-received"
+LOSS_DETECTED = "loss-detected"
+TIMEOUT = "timeout"
+TRACE_EVENTS = (DATA_SENT, ACK_RECEIVED, LOSS_DETECTED, TIMEOUT)
+
 
 def slow_start_crossover(n_weight: float) -> float:
     """Window size where slow-start growth falls back from 2/ack to 1/ack.
@@ -120,13 +127,17 @@ def window_allows_send(state: CongestionState, in_flight: int,
     return in_flight < min(int(state.cwnd), advertised)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
-    """One line of a connection trace, as written to trace CSV files."""
+    """One line of a connection trace, as written to trace CSV files.
+
+    Slotted: a long traced run holds one record per ack and per sent
+    segment, so records carry no per-instance __dict__.
+    """
 
     time_ns: int
     flow_id: int
-    event: str          # data-sent | ack-received | loss-detected | timeout
+    event: str          # one of TRACE_EVENTS
     cwnd_before: float | None
     cwnd_after: float | None
     seq: int | None
@@ -404,7 +415,8 @@ class TcpSender:
         if self.timer_deadline_ns is None:
             self.timer_deadline_ns = now_ns + self._effective_rto()
         if self.trace is not None:
-            self._record(now_ns, "data-sent", seq=seq)
+            cwnd = self.state.cwnd
+            self._record(now_ns, DATA_SENT, cwnd, cwnd, seq)
 
     # -- ack processing ---------------------------------------------------
 
@@ -488,7 +500,7 @@ class TcpSender:
             else:
                 on_ack_congestion_avoidance(st)
             if self.trace is not None:
-                self._record(now_ns, "ack-received", before=before, ack=ack)
+                self._record(now_ns, ACK_RECEIVED, before, st.cwnd, None, ack)
 
         if self.cum_ack < self.next_seq:
             self.timer_deadline_ns = now_ns + self._effective_rto()
@@ -523,7 +535,7 @@ class TcpSender:
         st = self.state
         before = st.cwnd
         reduced = on_congestion_signal(st)
-        self._record(now_ns, "loss-detected", before=before, after=reduced)
+        self._record(now_ns, LOSS_DETECTED, before, reduced)
         self.fast_retransmits += 1
         # fresh timer for the repair; the stale deadline predates the episode
         self.timer_deadline_ns = now_ns + self._effective_rto()
@@ -583,7 +595,7 @@ class TcpSender:
             st.cwnd = 1.0
             refresh_phase(st)
         self.timeouts += 1
-        self._record(now_ns, "timeout", before=before, after=st.cwnd)
+        self._record(now_ns, TIMEOUT, before, st.cwnd)
         self._timing_seq = None     # Karn
         self.dupacks = 0
         self.in_recovery = False
@@ -619,14 +631,8 @@ class TcpSender:
 
     # -- trace ------------------------------------------------------------
 
-    def _record(self, now_ns: int, event: str, *, seq: int | None = None,
-                ack: int | None = None, before: float | None = None,
-                after: float | None = None) -> None:
-        if self.trace is None:
-            return
-        cwnd = self.state.cwnd
-        self.trace.append(TraceRecord(
-            time_ns=now_ns, flow_id=self.flow_id, event=event,
-            cwnd_before=cwnd if before is None else before,
-            cwnd_after=cwnd if after is None else after,
-            seq=seq, ack=ack))
+    def _record(self, now_ns: int, event: str, before: float, after: float,
+                seq: int | None = None, ack: int | None = None) -> None:
+        if self.trace is not None:
+            self.trace.append(TraceRecord(now_ns, self.flow_id, event,
+                                          before, after, seq, ack))

@@ -239,6 +239,25 @@ def test_police_bad_period(tmp_path, capsys):
     assert "--period" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row, problem", [
+    ("1x,0,data-sent,1.0,1.0,5,", "invalid literal for int()"),
+    ("1,0,ack,1.0,2.0,,5", "unknown event 'ack'"),
+    ("1,0,loss-detected,nan,2.0,,", "non-finite cwnd"),
+])
+def test_police_rejects_bad_trace_row(tmp_path, capsys, row, problem):
+    trace = tmp_path / "trace.csv"
+    decls = tmp_path / "decls.csv"
+    trace.write_text("time_ns,flow_id,event,cwnd_before,cwnd_after,seq,ack\n"
+                     + row + "\n")
+    write_declarations_csv([Declaration(0, 2.0, 0, 10**9)], decls)
+    rc = main(["police", "--trace", str(trace), "--declarations", str(decls)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {trace}, line 2: ")
+    assert problem in err[0]
+
+
 def test_sweep_gain_writes_both_csvs(tmp_path):
     out = tmp_path / "gain"
     rc = main(["sweep", "gain", "--variant", "sack", "--n-grid", "2",

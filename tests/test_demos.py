@@ -1,0 +1,35 @@
+"""Smoke tests of the demo scripts, each run as its own process.
+
+`demos/gain_curve.py` is left out: it sweeps for about a minute.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_demo(name: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_police_a_flow_catches_the_understated_weight():
+    lines = run_demo("police_a_flow.py").splitlines()
+    assert "declared N=4: compliant" in lines
+    assert "declared N=2: violation" in lines
+
+
+@pytest.mark.parametrize("name", ["buffer_split.py", "model_vs_oracle.py"])
+def test_demo_runs(name):
+    assert run_demo(name)

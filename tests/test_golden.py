@@ -3,7 +3,8 @@
 Each digest is the SHA-256 of bytes written by a seeded run: the
 `simulate` stdout for the demo scenario, the run and trace CSVs of a
 short dumbbell, the run CSV of the paper's 22-flow SACK run, and both
-sweeps on a tiny grid, to files and to stdout.
+sweeps on a tiny grid, to files and to stdout, and the trace CSV of the
+paper's run, which is the input `multcp police` checks.
 A change to the simulator, the experiment loop or the CSV writers that
 moves any byte fails here.  Where two outputs must be the same bytes
 (stdout against -o, sweep stdout against the summary file) they share
@@ -16,7 +17,7 @@ from pathlib import Path
 from multcp.cli import main
 from multcp.harness import (DumbbellParams, build_dumbbell, run_scenario,
                             write_run_csv)
-from multcp.policing import write_trace_csv
+from multcp.policing import read_trace_csv, write_trace_csv
 
 DEMO = Path(__file__).resolve().parent.parent / "demos" / "two_flow.yaml"
 
@@ -24,6 +25,7 @@ SIMULATE_DEMO = "77b4926f3870acf01f2824cd63ab884a9c54d14c77e62cf899f0be454738c71
 RUN_CSV = "20627cadc727058d486bb518281c85cf86e1056cdd7a048772b59744e739612e"
 TRACE_CSV = "442b7bfcc13b9943d59efb37afa8c0609d04593a864d779d8f7ae03febe1effd"
 HEADLINE_RUN_CSV = "196de46f0cc388972f4e202abc59a4f4db33c2593f2c9df1b4a085ddf298c033"
+HEADLINE_TRACE_CSV = "a7063ce4c070d13c7865118dd21215caa8836d41895de9cbd2a3de035725e226"
 GAIN_CSV = "d8042202d06858b1c8f0db3c0180de3fabd7d65a56d41071854921e8c614c08a"
 GAIN_SUMMARY = "d88606447a6a1e39be9999128630091445a41dba5925799437c4b07be8507d37"
 FAIRNESS_CSV = "512e1fa1d61bec0c81b57a188ae83990435d7bea4e40056b02d523feb5a67ac5"
@@ -70,6 +72,17 @@ def test_headline_sack_run_csv(tmp_path):
                                          weights=[4.0] + [1.0] * 21, seed=1))
     write_run_csv(result, tmp_path / "run.csv")
     assert sha256((tmp_path / "run.csv").read_bytes()) == HEADLINE_RUN_CSV
+
+
+def test_headline_sack_trace_csv_and_read_back(tmp_path):
+    # 138,087 records; the reader must give back exactly what was traced
+    result = run_scenario(build_dumbbell(22, variant="sack",
+                                         weights=[4.0] + [1.0] * 21, seed=1,
+                                         trace=True))
+    path = tmp_path / "trace.csv"
+    write_trace_csv(result.trace, path)
+    assert sha256(path.read_bytes()) == HEADLINE_TRACE_CSV
+    assert read_trace_csv(path) == list(result.trace)
 
 
 def test_sweep_gain_files_and_stdout(tmp_path, capsysbinary):

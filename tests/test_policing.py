@@ -2,7 +2,7 @@
 
 import pytest
 
-from multcp.policing import (Declaration, analyze_trace, bill,
+from multcp.policing import (TRACE_COLUMNS, Declaration, analyze_trace, bill,
                              estimate_n_from_decrease,
                              estimate_n_from_slow_start,
                              read_declarations_csv, read_trace_csv,
@@ -188,6 +188,21 @@ def test_declarations_csv_round_trip(tmp_path):
     assert read_declarations_csv(path) == decls
 
 
+def test_read_back_records_share_one_event_string_per_kind(tmp_path):
+    records = loss_trace(2.0) + [rec(99, "data-sent", seq=7),
+                                 rec(100, "data-sent", seq=8),
+                                 rec(200, "timeout", before=3.0, after=1.0),
+                                 rec(300, "timeout", before=2.0, after=1.0)]
+    path = tmp_path / "trace.csv"
+    write_trace_csv(records, path)
+    ids: dict[str, set[int]] = {}
+    for r in read_trace_csv(path):
+        ids.setdefault(r.event, set()).add(id(r.event))
+    assert sorted(ids) == ["ack-received", "data-sent", "loss-detected",
+                           "timeout"]
+    assert all(len(v) == 1 for v in ids.values())
+
+
 def test_csv_readers_reject_malformed(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("nope\n1,2\n")
@@ -195,3 +210,20 @@ def test_csv_readers_reject_malformed(tmp_path):
         read_trace_csv(bad)
     with pytest.raises(ValueError):
         read_declarations_csv(bad)
+    # a bad data row is reported with its file and line (line 1 is the header)
+    for row, problem in [
+            ("1x,0,data-sent,1.0,1.0,5,", "invalid literal for int()"),
+            ("2,0,data-sent,1.0,1.0,zz,", "invalid literal for int()"),
+            ("2,0,data-sent,one,1.0,5,", "could not convert string to float"),
+            ("2,0,ack,1.0,2.0,,5", "unknown event 'ack'"),
+            ("2,0,loss-detected,nan,2.0,,", "non-finite cwnd"),
+            ("2,0,loss-detected,4.0,inf,,", "non-finite cwnd"),
+            ("2,0,timeout,-inf,1.0,,", "non-finite cwnd"),
+            ("2,0,data-sent,1.0,1.0,5", "expected 7 fields, got 6"),
+            ("", "expected 7 fields, got 0")]:
+        bad.write_text(",".join(TRACE_COLUMNS)
+                       + "\n1,0,data-sent,1.0,1.0,4,\n" + row + "\n")
+        with pytest.raises(ValueError) as info:
+            read_trace_csv(bad)
+        message = str(info.value)
+        assert message.startswith(f"{bad}, line 3: ") and problem in message

@@ -4,10 +4,12 @@ The sender tests drive TcpSender and TcpReceiver directly through a
 tiny in-process loop with scripted losses; no simulator involved.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
-from multcp.tcp import (CongestionState, TcpReceiver,
+from multcp.tcp import (CongestionState, TcpReceiver, TraceRecord,
                         TcpSender, VARIANTS, _IntervalSet,
                         on_ack_congestion_avoidance, on_ack_slow_start,
                         on_congestion_signal, on_timeout,
@@ -283,3 +285,19 @@ def test_rtt_estimator_sets_rto_from_samples():
     assert loop.tx.srtt_ns == pytest.approx(50_000_000, rel=0.05)
     # the 200 ms floor dominates srtt + 4 rttvar at a steady short RTT
     assert loop.tx.rto_ns == 200_000_000
+
+
+# -- trace records ----------------------------------------------------------
+
+def test_trace_record_is_slotted_frozen_hashable_and_replaceable():
+    r = TraceRecord(5, 0, "data-sent", 2.0, 2.0, 7, None)
+    assert not hasattr(r, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.seq = 8
+    twin = TraceRecord(time_ns=5, flow_id=0, event="data-sent",
+                       cwnd_before=2.0, cwnd_after=2.0, seq=7, ack=None)
+    assert r == twin and hash(r) == hash(twin) and len({r, twin}) == 1
+    acked = dataclasses.replace(r, event="ack-received", seq=None, ack=3)
+    assert (acked.time_ns, acked.event, acked.seq, acked.ack) \
+        == (5, "ack-received", None, 3)
+    assert r.seq == 7 and r.ack is None
