@@ -15,8 +15,6 @@ import dataclasses
 import sys
 from pathlib import Path
 
-import yaml
-
 from . import harness, model
 from .engine import SimulationError
 from .fairness import (Network, check_maxmin, check_weighted_pf,
@@ -193,15 +191,16 @@ def _cmd_model(args) -> int:
 # -- fairness --------------------------------------------------------------
 
 def _load_network(path) -> Network:
+    data = harness._read_yaml(path, ValueError)
+    if not (isinstance(data, dict) and isinstance(data.get("capacities"), dict)
+            and isinstance(data.get("routes"), list)
+            and all(isinstance(route, list) for route in data["routes"])):
+        raise ValueError(f"{path}: need 'capacities' mapping and 'routes' "
+                         "list of lists")
     try:
-        with open(path) as fh:
-            data = yaml.safe_load(fh)
-    except yaml.YAMLError as exc:
-        raise ValueError(f"{path} is not valid YAML: {exc}") from exc
-    if not isinstance(data, dict) or "capacities" not in data \
-            or "routes" not in data:
-        raise ValueError(f"{path}: need 'capacities' mapping and 'routes' list")
-    capacities = {str(k): float(v) for k, v in data["capacities"].items()}
+        capacities = {str(k): float(v) for k, v in data["capacities"].items()}
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: capacities: {exc}") from exc
     routes = tuple(tuple(str(x) for x in route) for route in data["routes"])
     return Network(capacities=capacities, routes=routes)
 

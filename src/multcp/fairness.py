@@ -24,9 +24,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.optimize import minimize
-
+# numpy and scipy are imported inside the functions that use them, so that
+# importing this module (and the CLI, which imports it) loads neither
 _EPS = 1e-9
 # wpf_allocate declares convergence at this KKT residual, so the weighted
 # PF check accepts rate vectors that are feasible to the same tolerance
@@ -42,8 +41,9 @@ class Network:
 
     def __post_init__(self) -> None:
         for name, cap in self.capacities.items():
-            if cap <= 0:
-                raise ValueError(f"link {name!r} must have positive capacity")
+            if not (cap > 0 and math.isfinite(cap)):
+                raise ValueError(
+                    f"link {name!r} must have a positive finite capacity")
         for i, route in enumerate(self.routes):
             if not route:
                 raise ValueError(f"connection {i} has an empty route")
@@ -138,6 +138,8 @@ def check_maxmin(network: Network, rates, *, grid_points: int = 11,
 
 
 def _check_maxmin_brute(network: Network, rates, grid_points) -> MaxminVerdict:
+    import numpy as np
+
     n = network.n_connections
     scale = max(max(network.capacities.values()), 1.0)
     eps = _EPS * scale
@@ -207,6 +209,8 @@ def check_weighted_pf(network: Network, rates, weights, *,
     and projected onto the feasible region by scaling; boundary points
     are the discriminating ones, interior draws are kept as well.
     """
+    import numpy as np
+
     x = np.asarray(rates, dtype=float)
     w = np.asarray(weights, dtype=float)
     n = network.n_connections
@@ -271,6 +275,9 @@ def wpf_allocate(network: Network, weights) -> WpfAllocation:
     worst complementary-slackness and feasibility violation, normalised
     by capacity.
     """
+    import numpy as np
+    from scipy.optimize import minimize
+
     w = np.asarray(weights, dtype=float)
     n = network.n_connections
     if w.shape != (n,):

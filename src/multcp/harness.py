@@ -30,8 +30,6 @@ import csv
 import statistics
 from dataclasses import dataclass, field
 
-import yaml
-
 from .aqm import RedParams
 from .engine import (FlowSpec, LinkSpec, Scenario, Simulation, SimulationError,
                      s_from_ns)
@@ -348,15 +346,23 @@ _TOP_KEYS = {"links", "flows", "duration", "warmup", "seed", "payload",
 def load_scenario(path) -> Scenario:
     """Read a YAML scenario file (see scenario_from_dict for the schema)."""
     try:
-        with open(path) as fh:
-            data = yaml.safe_load(fh)
+        data = _read_yaml(path, ScenarioError)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ScenarioError(f"{path} is not valid YAML: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioError(f"{path}: top level must be a mapping")
     return scenario_from_dict(data)
+
+
+def _read_yaml(path, error: type[Exception]):
+    """Parse a YAML file; invalid YAML raises `error` naming the file."""
+    import yaml     # on first use, so that importing multcp does not load it
+
+    with open(path) as fh:
+        try:
+            return yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise error(f"{path} is not valid YAML: {exc}") from exc
 
 
 def scenario_from_dict(data: dict) -> Scenario:

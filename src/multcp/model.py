@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 def cycle_data(w_peak: float, n_weight: float) -> float:
     """Packets carried during one sawtooth cycle ending at peak `w_peak`.
@@ -94,6 +92,8 @@ def sawtooth_oracle(n_weight: float, p: float, packet_bytes: float,
     Growing at N per RTT while sending w packets per RTT means
     ds = w dw / N, so after g packets the window is sqrt(w^2 + 2 N g).
     """
+    import numpy as np      # here, not at module top: only the oracle needs it
+
     _check_weight(n_weight)
     _check_loss(p)
     if cycles < 10:

@@ -49,8 +49,9 @@ class Declaration:
     end_ns: int
 
     def __post_init__(self) -> None:
-        if self.declared_n < 1.0:
-            raise ValueError("declared_n must be >= 1")
+        if not (self.declared_n >= 1.0 and math.isfinite(self.declared_n)):
+            raise ValueError("declared_n must be a finite number >= 1, "
+                             f"got {self.declared_n!r}")
         if self.start_ns >= self.end_ns:
             raise ValueError("declaration interval must have start < end")
 
@@ -340,18 +341,21 @@ def read_trace_csv(path) -> list[TraceRecord]:
                                    int(seq) if seq else None,
                                    int(ack) if ack else None))
         except (ValueError, KeyError, csv.Error) as exc:
-            raise ValueError(f"{path}, line {reader.line_num}: "
-                             f"{_row_problem(row, exc)}") from None
+            raise _row_error(path, reader, row, TRACE_COLUMNS, exc) from None
     return records
 
 
-def _row_problem(row: list[str], exc: Exception) -> str:
+def _row_error(path, reader, row: list[str], columns: tuple,
+               exc: Exception) -> ValueError:
+    """The one-line error for a bad CSV data row: file, line and problem."""
     if isinstance(exc, KeyError):
-        return (f"unknown event {row[2]!r}, expected one of "
-                f"{', '.join(TRACE_EVENTS)}")
-    if len(row) != len(TRACE_COLUMNS) and not isinstance(exc, csv.Error):
-        return f"expected {len(TRACE_COLUMNS)} fields, got {len(row)}"
-    return str(exc)
+        problem = (f"unknown event {row[2]!r}, expected one of "
+                   f"{', '.join(TRACE_EVENTS)}")
+    elif len(row) != len(columns) and not isinstance(exc, csv.Error):
+        problem = f"expected {len(columns)} fields, got {len(row)}"
+    else:
+        problem = str(exc)
+    return ValueError(f"{path}, line {reader.line_num}: {problem}")
 
 
 def write_declarations_csv(declarations, path) -> None:
@@ -364,6 +368,7 @@ def write_declarations_csv(declarations, path) -> None:
 
 
 def read_declarations_csv(path) -> list[Declaration]:
+    """Read a declarations CSV; a bad row raises ValueError naming file and line."""
     out = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -371,10 +376,13 @@ def read_declarations_csv(path) -> list[Declaration]:
         if header is None or tuple(header) != DECLARATION_COLUMNS:
             raise ValueError(
                 f"{path}: expected declaration header {DECLARATION_COLUMNS}")
-        for row in reader:
-            if len(row) != len(DECLARATION_COLUMNS):
-                raise ValueError(f"{path}: malformed row {row!r}")
-            out.append(Declaration(flow_id=int(row[0]),
-                                   declared_n=float(row[1]),
-                                   start_ns=int(row[2]), end_ns=int(row[3])))
+        row: list[str] = []
+        try:
+            for row in reader:
+                flow_id, declared_n, start_ns, end_ns = row
+                out.append(Declaration(int(flow_id), float(declared_n),
+                                       int(start_ns), int(end_ns)))
+        except (ValueError, csv.Error) as exc:
+            raise _row_error(path, reader, row, DECLARATION_COLUMNS,
+                             exc) from None
     return out

@@ -181,6 +181,35 @@ def test_fairness_check_rate_count_mismatch(tmp_path, capsys):
     assert "expected 2 entries" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, args, message", [
+    ("capacities: [1, 2]\nroutes: [[a]]\n", ["--allocate", "maxmin"],
+     "need 'capacities' mapping"),
+    ("capacities: {a: 1}\nroutes: 5\n", ["--allocate", "maxmin"],
+     "'routes' list of lists"),
+    ("capacities: {a: 1}\nroutes: [a]\n", ["--allocate", "maxmin"],
+     "'routes' list of lists"),
+    ("capacities: {a: [1]}\nroutes: [[a]]\n", ["--allocate", "maxmin"],
+     "capacities:"),
+    ("capacities: {a: .nan}\nroutes: [[a]]\n", ["--allocate", "wpf"],
+     "positive finite capacity"),
+    ("capacities: {a: .inf}\nroutes: [[a]]\n", ["--allocate", "wpf"],
+     "positive finite capacity"),
+    ("capacities: {a: .nan}\nroutes: [[a]]\n", ["--allocate", "maxmin"],
+     "positive finite capacity"),
+    ("capacities: {a: .inf}\nroutes: [[a]]\n", ["--rates", "1"],
+     "positive finite capacity"),
+])
+def test_fairness_check_rejects_bad_network(tmp_path, capsys, text, args,
+                                            message):
+    net = tmp_path / "net.yaml"
+    net.write_text(text)
+    rc = main(["fairness-check", str(net)] + args)
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+
+
 def test_alloc_exact_proportions(tmp_path):
     out = tmp_path / "alloc.csv"
     rc = main(["alloc", "--prices", "3,1", "--budget", "8000",
@@ -256,6 +285,19 @@ def test_police_rejects_bad_trace_row(tmp_path, capsys, row, problem):
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {trace}, line 2: ")
     assert problem in err[0]
+
+
+@pytest.mark.parametrize("row", ["0,nan,0,1000000000", "0,2.0,1x,1000000000"])
+def test_police_rejects_bad_declaration_row(tmp_path, capsys, row):
+    trace = tmp_path / "trace.csv"
+    decls = tmp_path / "decls.csv"
+    write_trace_csv(compliant_trace(2.0), trace)
+    decls.write_text("flow_id,declared_n,start_ns,end_ns\n" + row + "\n")
+    rc = main(["police", "--trace", str(trace), "--declarations", str(decls)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {decls}, line 2: ")
 
 
 def test_sweep_gain_writes_both_csvs(tmp_path):

@@ -23,6 +23,12 @@ def test_network_validation():
         Network(capacities={"l": 1.0}, routes=(("m",),))
 
 
+@pytest.mark.parametrize("cap", [float("nan"), float("inf")])
+def test_network_rejects_non_finite_capacity(cap):
+    with pytest.raises(ValueError, match="positive finite capacity"):
+        Network(capacities={"l": cap}, routes=(("l",),))
+
+
 def test_network_queries():
     assert TRIANGLE.n_connections == 3
     assert TRIANGLE.users("ab") == [0, 1]

@@ -2,7 +2,8 @@
 
 import pytest
 
-from multcp.policing import (TRACE_COLUMNS, Declaration, analyze_trace, bill,
+from multcp.policing import (DECLARATION_COLUMNS, TRACE_COLUMNS, Declaration,
+                             analyze_trace, bill,
                              estimate_n_from_decrease,
                              estimate_n_from_slow_start,
                              read_declarations_csv, read_trace_csv,
@@ -225,5 +226,27 @@ def test_csv_readers_reject_malformed(tmp_path):
                        + "\n1,0,data-sent,1.0,1.0,4,\n" + row + "\n")
         with pytest.raises(ValueError) as info:
             read_trace_csv(bad)
+        message = str(info.value)
+        assert message.startswith(f"{bad}, line 3: ") and problem in message
+
+
+def test_declarations_reject_non_finite_weight_naming_file_and_line(tmp_path):
+    for n in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="declared_n must be a finite"):
+            Declaration(flow_id=0, declared_n=n, start_ns=0, end_ns=1)
+    bad = tmp_path / "decls.csv"
+    for row, problem in [
+            ("0,nan,0,1000000000", "declared_n must be a finite number"),
+            ("0,inf,0,1000000000", "declared_n must be a finite number"),
+            ("0,0.5,0,1000000000", "declared_n must be a finite number"),
+            ("0,2.0,1x,1000000000", "invalid literal for int()"),
+            ("0,two,0,1000000000", "could not convert string to float"),
+            ("0,2.0,5,5", "start < end"),
+            ("0,2.0,0", "expected 4 fields, got 3"),
+            ("", "expected 4 fields, got 0")]:
+        bad.write_text(",".join(DECLARATION_COLUMNS)
+                       + "\n1,2.0,0,1000000000\n" + row + "\n")
+        with pytest.raises(ValueError) as info:
+            read_declarations_csv(bad)
         message = str(info.value)
         assert message.startswith(f"{bad}, line 3: ") and problem in message
