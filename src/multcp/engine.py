@@ -235,8 +235,6 @@ class Flow:
                                 initial_ssthresh=spec.ssthresh,
                                 advertised=adv, bulk_segments=bulk, trace=trace)
         self.receiver = TcpReceiver(sack_enabled=(spec.variant == "sack"))
-        self.sent_packets = 0
-        self.arrived_packets = 0
         self.drops = 0
         self._timer_event_ns: int | None = None     # the live timer event
 
@@ -327,7 +325,6 @@ class Simulation:
             if not flow.route[pkt.hop].offer(self, pkt, now_ns):
                 flow.drops += 1
             return
-        flow.arrived_packets += 1
         ack, blocks = flow.receiver.on_data(pkt.seq)
         self.schedule(now_ns + flow.reverse_delay_ns, _ACK_ARRIVAL,
                       (pkt.flow_id, ack, tuple(blocks)))
@@ -347,11 +344,9 @@ class Simulation:
         self._dispatch_sends(flow, sends, now_ns)
         self._sync_timer(flow)
 
-    def _dispatch_sends(self, flow: Flow, sends: list[tuple[int, bool]],
-                        now_ns: int) -> None:
-        for seq, _is_retx in sends:
+    def _dispatch_sends(self, flow: Flow, sends: list[int], now_ns: int) -> None:
+        for seq in sends:
             pkt = Packet(flow.flow_id, seq, flow.payload_bytes)
-            flow.sent_packets += 1
             if not flow.route[0].offer(self, pkt, now_ns):
                 flow.drops += 1
 
@@ -382,9 +377,9 @@ class Simulation:
         """Every sent packet is delivered, dropped, or still in the network."""
         in_net = self.in_network_counts()
         for f in self.flows:
-            total = f.arrived_packets + f.drops + in_net[f.flow_id]
-            if f.sent_packets != total:
+            sent = f.sender.segments_sent
+            arrived = f.receiver.segments_received + f.receiver.duplicates
+            if sent != arrived + f.drops + in_net[f.flow_id]:
                 raise SimulationError(
-                    f"flow {f.flow_id}: sent {f.sent_packets} != "
-                    f"arrived {f.arrived_packets} + dropped {f.drops} "
-                    f"+ in-network {in_net[f.flow_id]}")
+                    f"flow {f.flow_id}: sent {sent} != arrived {arrived} "
+                    f"+ dropped {f.drops} + in-network {in_net[f.flow_id]}")

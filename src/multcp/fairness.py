@@ -44,6 +44,8 @@ class Network:
             if not (cap > 0 and math.isfinite(cap)):
                 raise ValueError(
                     f"link {name!r} must have a positive finite capacity")
+        if not self.routes:
+            raise ValueError("a network needs at least one connection")
         for i, route in enumerate(self.routes):
             if not route:
                 raise ValueError(f"connection {i} has an empty route")
@@ -224,12 +226,7 @@ def check_weighted_pf(network: Network, rates, weights, *,
         return PfVerdict(False, math.inf, None, 0,
                          "a weighted connection has zero rate")
 
-    link_names = sorted(network.capacities)
-    caps = np.array([network.capacities[name] for name in link_names])
-    incidence = np.zeros((len(link_names), n))
-    for l, name in enumerate(link_names):
-        for i in network.users(name):
-            incidence[l, i] = 1.0
+    caps, incidence = _incidence(network, network.routes)
     box = np.array([network.route_cap(i) for i in range(n)])
 
     rng = np.random.default_rng(seed)
@@ -245,6 +242,17 @@ def check_weighted_pf(network: Network, rates, weights, *,
     worst = int(np.argmax(sums))
     worst_sum = float(sums[worst])
     return PfVerdict(worst_sum <= tol, worst_sum, tuple(y[worst]), samples)
+
+
+def _incidence(network: Network, routes):
+    """Capacities by sorted link name and the 0/1 link x route matrix."""
+    import numpy as np
+
+    names = sorted(network.capacities)
+    caps = np.array([network.capacities[name] for name in names])
+    incidence = np.array([[1.0 if name in route else 0.0 for route in routes]
+                          for name in names])
+    return caps, incidence
 
 
 def check_pf(network: Network, rates, **kwargs) -> PfVerdict:
@@ -287,9 +295,6 @@ def wpf_allocate(network: Network, weights) -> WpfAllocation:
     if not np.any(w > 0):
         raise ValueError("at least one weight must be positive")
 
-    link_names = sorted(network.capacities)
-    caps = np.array([network.capacities[name] for name in link_names])
-
     active = np.flatnonzero(w > 0)
     sub_routes = [network.routes[i] for i in active]
     w_act = w[active]
@@ -301,11 +306,7 @@ def wpf_allocate(network: Network, weights) -> WpfAllocation:
         rates[active] = cap * w_act / w_act.sum()
         return WpfAllocation(list(rates), True, 0.0, "closed-form")
 
-    incidence = np.zeros((len(link_names), len(active)))
-    for l, name in enumerate(link_names):
-        for k, route in enumerate(sub_routes):
-            if name in route:
-                incidence[l, k] = 1.0
+    caps, incidence = _incidence(network, sub_routes)
 
     def dual(lam):
         q = incidence.T @ lam

@@ -334,6 +334,30 @@ def write_csv(target, header, rows) -> None:
     writer.writerows(rows)
 
 
+def read_csv(path, header, what: str, parse) -> list:
+    """Read a CSV file that starts with exactly `header`; parse(row) per row.
+
+    A row with the wrong field count, or one that parse or csv rejects
+    with a ValueError or csv.Error, raises one ValueError naming the
+    file, the line and the problem.
+    """
+    width = len(header)
+    out = []
+    append = out.append
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if tuple(next(reader, ())) != header:
+            raise ValueError(f"{path}: expected {what} header {header}")
+        try:
+            for row in reader:
+                if len(row) != width:
+                    raise ValueError(f"expected {width} fields, got {len(row)}")
+                append(parse(row))
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+    return out
+
+
 # -- scenario files --------------------------------------------------------
 
 _LINK_KEYS = {"name", "bandwidth", "delay", "queue", "limit", "red"}
@@ -362,7 +386,13 @@ def _read_yaml(path, error: type[Exception]):
         try:
             return yaml.safe_load(fh)
         except yaml.YAMLError as exc:
-            raise error(f"{path} is not valid YAML: {exc}") from exc
+            # the parser's text puts the position on a line of its own;
+            # fold it in, so that the error stays one line
+            mark = getattr(exc, "problem_mark", None)
+            problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
+            if mark is not None:
+                problem += f" (line {mark.line + 1}, column {mark.column + 1})"
+            raise error(f"{path} is not valid YAML: {problem}") from exc
 
 
 def scenario_from_dict(data: dict) -> Scenario:

@@ -20,7 +20,6 @@ seq/ack columns, which is indicative rather than accurate.
 
 from __future__ import annotations
 
-import csv
 import math
 import statistics
 from bisect import bisect_left
@@ -28,6 +27,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .engine import NS_PER_SEC
+from .harness import read_csv, write_csv
 from .tcp import (ACK_RECEIVED, DATA_SENT, LOSS_DETECTED, TIMEOUT,
                   TRACE_EVENTS, TraceRecord)
 
@@ -294,18 +294,8 @@ def bill(declarations, period: tuple[int, int]) -> float:
 
 def write_trace_csv(records, target) -> None:
     """Write trace records to a path or an open text stream."""
-    if hasattr(target, "write"):
-        _write_trace_rows(records, target)
-    else:
-        with open(target, "w", newline="") as fh:
-            _write_trace_rows(records, fh)
-
-
-def _write_trace_rows(records, target) -> None:
     # csv writes None as an empty field and a float as its repr
-    writer = csv.writer(target)
-    writer.writerow(TRACE_COLUMNS)
-    writer.writerows(map(attrgetter(*TRACE_COLUMNS), records))
+    write_csv(target, TRACE_COLUMNS, map(attrgetter(*TRACE_COLUMNS), records))
 
 
 # parsed event names map onto the sender's own strings, one object per kind
@@ -318,71 +308,33 @@ def read_trace_csv(path) -> list[TraceRecord]:
     Rows must have seven fields, integer time/flow/seq/ack, a known
     event name and finite (or empty) cwnd values.
     """
-    records = []
-    append = records.append
-    events = _EVENT_NAMES
-    isfinite = math.isfinite
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != TRACE_COLUMNS:
-            raise ValueError(f"{path}: expected trace header {TRACE_COLUMNS}")
-        row: list[str] = []
-        try:
-            for row in reader:
-                time_ns, flow_id, event, before, after, seq, ack = row
-                before = float(before) if before else None
-                after = float(after) if after else None
-                if (before is not None and not isfinite(before)
-                        or after is not None and not isfinite(after)):
-                    raise ValueError(f"non-finite cwnd {row[3:5]!r}")
-                append(TraceRecord(int(time_ns), int(flow_id), events[event],
-                                   before, after,
-                                   int(seq) if seq else None,
-                                   int(ack) if ack else None))
-        except (ValueError, KeyError, csv.Error) as exc:
-            raise _row_error(path, reader, row, TRACE_COLUMNS, exc) from None
-    return records
+    return read_csv(path, TRACE_COLUMNS, "trace", _trace_record)
 
 
-def _row_error(path, reader, row: list[str], columns: tuple,
-               exc: Exception) -> ValueError:
-    """The one-line error for a bad CSV data row: file, line and problem."""
-    if isinstance(exc, KeyError):
-        problem = (f"unknown event {row[2]!r}, expected one of "
-                   f"{', '.join(TRACE_EVENTS)}")
-    elif len(row) != len(columns) and not isinstance(exc, csv.Error):
-        problem = f"expected {len(columns)} fields, got {len(row)}"
-    else:
-        problem = str(exc)
-    return ValueError(f"{path}, line {reader.line_num}: {problem}")
+def _trace_record(row: list[str]) -> TraceRecord:
+    time_ns, flow_id, event, before, after, seq, ack = row
+    kind = _EVENT_NAMES.get(event)
+    if kind is None:
+        raise ValueError(f"unknown event {event!r}, expected one of "
+                         f"{', '.join(TRACE_EVENTS)}")
+    before = float(before) if before else None
+    after = float(after) if after else None
+    if (before is not None and not math.isfinite(before)
+            or after is not None and not math.isfinite(after)):
+        raise ValueError(f"non-finite cwnd {row[3:5]!r}")
+    return TraceRecord(int(time_ns), int(flow_id), kind, before, after,
+                       int(seq) if seq else None, int(ack) if ack else None)
 
 
-def write_declarations_csv(declarations, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DECLARATION_COLUMNS)
-        for d in declarations:
-            writer.writerow([d.flow_id, repr(float(d.declared_n)),
-                             d.start_ns, d.end_ns])
+def write_declarations_csv(declarations, target) -> None:
+    """Write declarations to a path or an open text stream."""
+    write_csv(target, DECLARATION_COLUMNS,
+              [(d.flow_id, float(d.declared_n), d.start_ns, d.end_ns)
+               for d in declarations])
 
 
 def read_declarations_csv(path) -> list[Declaration]:
     """Read a declarations CSV; a bad row raises ValueError naming file and line."""
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != DECLARATION_COLUMNS:
-            raise ValueError(
-                f"{path}: expected declaration header {DECLARATION_COLUMNS}")
-        row: list[str] = []
-        try:
-            for row in reader:
-                flow_id, declared_n, start_ns, end_ns = row
-                out.append(Declaration(int(flow_id), float(declared_n),
-                                       int(start_ns), int(end_ns)))
-        except (ValueError, csv.Error) as exc:
-            raise _row_error(path, reader, row, DECLARATION_COLUMNS,
-                             exc) from None
-    return out
+    return read_csv(path, DECLARATION_COLUMNS, "declaration",
+                    lambda row: Declaration(int(row[0]), float(row[1]),
+                                            int(row[2]), int(row[3])))

@@ -23,10 +23,6 @@ from dataclasses import dataclass, field
 
 VARIANTS = ("tahoe", "reno", "newreno", "sack")
 
-SLOW_START = "slow-start"
-CONGESTION_AVOIDANCE = "congestion-avoidance"
-FAST_RECOVERY = "fast-recovery"
-
 # retransmission timer, Jacobson/Karn style
 RTO_INITIAL_NS = 1_000_000_000
 RTO_MIN_NS = 200_000_000
@@ -67,18 +63,10 @@ class CongestionState:
     n_weight: float = 1.0
     cwnd: float = 1.0
     ssthresh: int = 64
-    phase: str = SLOW_START
     crossover: float = field(init=False)
 
     def __post_init__(self) -> None:
         self.crossover = slow_start_crossover(self.n_weight)
-        refresh_phase(self)
-
-
-def refresh_phase(state: CongestionState) -> None:
-    """Outside recovery the phase is determined by cwnd vs ssthresh."""
-    if state.phase != FAST_RECOVERY:
-        state.phase = SLOW_START if state.cwnd < state.ssthresh else CONGESTION_AVOIDANCE
 
 
 def on_ack_slow_start(state: CongestionState) -> None:
@@ -87,7 +75,6 @@ def on_ack_slow_start(state: CongestionState) -> None:
         state.cwnd += 2.0
     else:
         state.cwnd += 1.0
-    refresh_phase(state)
 
 
 def on_ack_congestion_avoidance(state: CongestionState) -> None:
@@ -109,7 +96,6 @@ def on_congestion_signal(state: CongestionState) -> float:
         reduced = state.cwnd * (state.n_weight - 0.5) / state.n_weight
     state.ssthresh = max(2, int(reduced))
     state.cwnd = max(1.0, reduced)
-    refresh_phase(state)
     return state.cwnd
 
 
@@ -118,13 +104,6 @@ def on_timeout(state: CongestionState) -> None:
     reduced = state.cwnd * (state.n_weight - 0.5) / state.n_weight
     state.ssthresh = max(2, int(reduced))
     state.cwnd = 1.0
-    state.phase = SLOW_START
-
-
-def window_allows_send(state: CongestionState, in_flight: int,
-                       advertised: int) -> bool:
-    """True if one more segment fits under both windows."""
-    return in_flight < min(int(state.cwnd), advertised)
 
 
 @dataclass(frozen=True, slots=True)
@@ -289,7 +268,7 @@ class TcpSender:
     """Sliding-window sender: pumps segment numbers, reacts to acks and timers.
 
     The caller supplies clock readings in integer nanoseconds and turns
-    the returned (seq, is_retransmit) pairs into packets.  The retransmit
+    the returned segment numbers into packets.  The retransmit
     timer is exposed as `timer_deadline_ns`; the caller must invoke
     on_timer_check() at or after that time.
     """
@@ -362,13 +341,13 @@ class TcpSender:
 
     # -- sending ----------------------------------------------------------
 
-    def start(self, now_ns: int) -> list[tuple[int, bool]]:
+    def start(self, now_ns: int) -> list[int]:
         self.active = True
         return self.pump(now_ns)
 
-    def pump(self, now_ns: int) -> list[tuple[int, bool]]:
+    def pump(self, now_ns: int) -> list[int]:
         """Emit as many segments as the windows allow."""
-        sends: list[tuple[int, bool]] = []
+        sends: list[int] = []
         if not self.active:
             return sends
         extra = 0
@@ -399,9 +378,9 @@ class TcpSender:
             in_flight += 1
         return sends
 
-    def _emit(self, sends: list[tuple[int, bool]], seq: int,
-              is_retx: bool, now_ns: int) -> None:
-        sends.append((seq, is_retx))
+    def _emit(self, sends: list[int], seq: int, is_retx: bool,
+              now_ns: int) -> None:
+        sends.append(seq)
         self.segments_sent += 1
         if is_retx:
             self.retransmits += 1
@@ -421,9 +400,9 @@ class TcpSender:
     # -- ack processing ---------------------------------------------------
 
     def on_ack(self, ack: int, sack_blocks: list[tuple[int, int]],
-               now_ns: int) -> list[tuple[int, bool]]:
+               now_ns: int) -> list[int]:
         """Process one ack; returns segments to transmit right now."""
-        sends: list[tuple[int, bool]] = []
+        sends: list[int] = []
 
         if self._sack:
             for a, b in sack_blocks:
@@ -460,7 +439,7 @@ class TcpSender:
             self.timer_deadline_ns = None   # nothing outstanding
         return sends
 
-    def _on_advance(self, ack: int, now_ns: int, sends: list[tuple[int, bool]]) -> None:
+    def _on_advance(self, ack: int, now_ns: int, sends: list[int]) -> None:
         st = self.state
         newly = ack - self.cum_ack
         self.cum_ack = ack
@@ -507,7 +486,7 @@ class TcpSender:
         else:
             self.timer_deadline_ns = None
 
-    def _on_duplicate(self, now_ns: int, sends: list[tuple[int, bool]]) -> None:
+    def _on_duplicate(self, now_ns: int, sends: list[int]) -> None:
         st = self.state
         if self.in_recovery:
             if self._renoish:
@@ -519,19 +498,18 @@ class TcpSender:
         if self.dupacks == DUPACK_THRESHOLD and self.cum_ack > self.guard_point:
             self._enter_recovery(now_ns, sends)
 
-    def _exit_recovery(self, now_ns: int, sends: list[tuple[int, bool]]) -> None:
+    def _exit_recovery(self, now_ns: int, sends: list[int]) -> None:
         st = self.state
         self.in_recovery = False
         self.dupacks = 0
         self.retx_marked.clear()
         if self._renoish:
             st.cwnd = float(st.ssthresh)    # deflate
-        st.phase = SLOW_START if st.cwnd < st.ssthresh else CONGESTION_AVOIDANCE
         if self._sack and self.lost:
             # holes above the old recovery point belong to a new episode
             self._enter_recovery(now_ns, sends)
 
-    def _enter_recovery(self, now_ns: int, sends: list[tuple[int, bool]]) -> None:
+    def _enter_recovery(self, now_ns: int, sends: list[int]) -> None:
         st = self.state
         before = st.cwnd
         reduced = on_congestion_signal(st)
@@ -545,13 +523,11 @@ class TcpSender:
             # slow-start resend of the whole window from the hole; wasteful
             # but repairs multi-loss windows without waiting for the timer
             st.cwnd = 1.0
-            refresh_phase(st)
             self.guard_point = max(self.guard_point, self.next_seq)
             self.next_seq = self.cum_ack
             return
         self.in_recovery = True
         self.recovery_point = self.next_seq
-        st.phase = FAST_RECOVERY
         if self._sack:
             if self.cum_ack not in self.sacked and self.cum_ack not in self.retx_marked:
                 self.lost.add(self.cum_ack)
@@ -582,7 +558,7 @@ class TcpSender:
 
     # -- timer ------------------------------------------------------------
 
-    def on_timer_check(self, now_ns: int) -> list[tuple[int, bool]]:
+    def on_timer_check(self, now_ns: int) -> list[int]:
         """Fire the retransmission timeout if the deadline has passed."""
         if self.timer_deadline_ns is None or now_ns < self.timer_deadline_ns:
             return []
@@ -593,7 +569,6 @@ class TcpSender:
         else:
             # repeated timeout for the same data: hold ssthresh steady
             st.cwnd = 1.0
-            refresh_phase(st)
         self.timeouts += 1
         self._record(now_ns, TIMEOUT, before, st.cwnd)
         self._timing_seq = None     # Karn

@@ -104,6 +104,19 @@ def test_simulate_bad_trace_path_fails_before_any_output(tmp_path, capsys):
     assert err[0].startswith(f"error: cannot write trace to {trace}:")
 
 
+@pytest.mark.parametrize("command", [["simulate"],
+                                     ["fairness-check", "--allocate", "maxmin"]])
+def test_invalid_yaml_is_one_error_line(tmp_path, capsys, command):
+    path = tmp_path / "bad.yaml"
+    path.write_text("links:\n  - name: a: b\n")
+    rc = main(command[:1] + [str(path)] + command[1:])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {path} is not valid YAML: mapping values are not allowed "
+        "here (line 2, column 12)"]
+
+
 def test_simulate_missing_scenario_fails(tmp_path, capsys):
     rc = main(["simulate", str(tmp_path / "nope.yaml")])
     assert rc == 1
@@ -198,6 +211,10 @@ def test_fairness_check_rate_count_mismatch(tmp_path, capsys):
      "positive finite capacity"),
     ("capacities: {a: .inf}\nroutes: [[a]]\n", ["--rates", "1"],
      "positive finite capacity"),
+    ("capacities: {a: 1}\nroutes: []\n", ["--allocate", "maxmin"],
+     "at least one connection"),
+    ("capacities: {a: 1}\nroutes: []\n", ["--allocate", "wpf"],
+     "at least one connection"),
 ])
 def test_fairness_check_rejects_bad_network(tmp_path, capsys, text, args,
                                             message):

@@ -114,10 +114,18 @@ def test_conservation_holds_mid_run():
     assert sum(f.drops for f in sim.flows) > 0    # RED actually bit
 
 
+def test_conservation_check_catches_a_miscount():
+    sim = Simulation(two_flow_scenario()).run_until(2.0)
+    sim.check_conservation()
+    sim.flows[1].sender.segments_sent += 1
+    with pytest.raises(SimulationError, match=r"^flow 1: sent \d+ != arrived"):
+        sim.check_conservation()
+
+
 def test_identical_seeds_replay_identically():
     def digest(seed):
         sim = Simulation(two_flow_scenario(seed=seed)).run_until(6.0)
-        return [(f.delivered_bytes(), f.sent_packets, f.drops,
+        return [(f.delivered_bytes(), f.sender.segments_sent, f.drops,
                  f.sender.timeouts, f.sender.retransmits) for f in sim.flows]
 
     assert digest(3) == digest(3)
@@ -188,7 +196,8 @@ def test_each_flow_keeps_one_live_timer_over_a_long_run():
 
 
 def run_state(sim):
-    return ([(f.delivered_bytes(), f.sent_packets, f.arrived_packets, f.drops,
+    return ([(f.delivered_bytes(), f.sender.segments_sent,
+              f.receiver.segments_received + f.receiver.duplicates, f.drops,
               f.sender.state.cwnd, f.sender.timeouts, f.sender.retransmits,
               f.sender.fast_retransmits) for f in sim.flows],
             {name: link.delivered_bits(sim.clock_ns)

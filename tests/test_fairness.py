@@ -21,6 +21,8 @@ def test_network_validation():
         Network(capacities={"l": 1.0}, routes=((),))
     with pytest.raises(ValueError):
         Network(capacities={"l": 1.0}, routes=(("m",),))
+    with pytest.raises(ValueError, match="at least one connection"):
+        Network(capacities={"l": 1.0}, routes=())
 
 
 @pytest.mark.parametrize("cap", [float("nan"), float("inf")])

@@ -3,8 +3,9 @@
 Each digest is the SHA-256 of bytes written by a seeded run: the
 `simulate` stdout for the demo scenario, the run and trace CSVs of a
 short dumbbell, the run CSV of the paper's 22-flow SACK run, and both
-sweeps on a tiny grid, to files and to stdout, and the trace CSV of the
-paper's run, which is the input `multcp police` checks.
+sweeps on a tiny grid, to files and to stdout, the trace CSV of the
+paper's run, which is the input `multcp police` checks, and a
+declarations CSV, its other input.
 A change to the simulator, the experiment loop or the CSV writers that
 moves any byte fails here.  Where two outputs must be the same bytes
 (stdout against -o, sweep stdout against the summary file) they share
@@ -12,12 +13,14 @@ one digest.
 """
 
 import hashlib
+import io
 from pathlib import Path
 
 from multcp.cli import main
 from multcp.harness import (DumbbellParams, build_dumbbell, run_scenario,
                             write_run_csv)
-from multcp.policing import read_trace_csv, write_trace_csv
+from multcp.policing import (Declaration, read_trace_csv,
+                             write_declarations_csv, write_trace_csv)
 
 DEMO = Path(__file__).resolve().parent.parent / "demos" / "two_flow.yaml"
 
@@ -30,6 +33,7 @@ GAIN_CSV = "d8042202d06858b1c8f0db3c0180de3fabd7d65a56d41071854921e8c614c08a"
 GAIN_SUMMARY = "d88606447a6a1e39be9999128630091445a41dba5925799437c4b07be8507d37"
 FAIRNESS_CSV = "512e1fa1d61bec0c81b57a188ae83990435d7bea4e40056b02d523feb5a67ac5"
 FAIRNESS_SUMMARY = "e4c6c314d6fa22c1a4276324d6e740e77c25da970103cfd16e4d7821105930ed"
+DECLARATIONS_CSV = "58cad71f22debb3f0ad749dca0362e4ab41e448d8005f9f41c986d7ae2f27e2e"
 
 GAIN_ARGS = ["sweep", "gain", "--variant", "newreno", "--n-grid", "2",
              "--seeds", "2", "--flows", "2"]
@@ -98,3 +102,15 @@ def test_sweep_fairness_files_and_stdout(tmp_path, capsysbinary):
     assert sha256((tmp_path / "fairness_summary.csv").read_bytes()) \
         == FAIRNESS_SUMMARY
     assert sha256(stdout_of(FAIRNESS_ARGS, capsysbinary)) == FAIRNESS_SUMMARY
+
+
+def test_declarations_csv_file_and_stream(tmp_path):
+    # an integer and a fractional weight: both are written as float reprs
+    decls = [Declaration(0, 4, 0, 30_000_000_000),
+             Declaration(1, 1.5, 5_000_000_000, 70_000_000_000)]
+    path = tmp_path / "decls.csv"
+    write_declarations_csv(decls, path)
+    assert sha256(path.read_bytes()) == DECLARATIONS_CSV
+    stream = io.StringIO(newline="")
+    write_declarations_csv(decls, stream)
+    assert sha256(stream.getvalue().encode()) == DECLARATIONS_CSV
