@@ -9,7 +9,7 @@ ceiling and flat afterwards.
 Run:  python demos/buffer_split.py
 """
 
-from multcp.allocator import BufferPool
+from multcp.allocator import allocate_buffers
 from multcp.engine import FlowSpec, LinkSpec, Scenario
 from multcp.harness import DumbbellParams, build_dumbbell, run_scenario
 
@@ -27,10 +27,7 @@ def capped_run(advertised_bytes: int) -> float:
 
 
 def main():
-    pool = BufferPool(budget_bytes=POOL)
-    pool.join(0, price=3.0)
-    pool.join(1, price=1.0)
-    buffers = dict(pool.allocations)
+    buffers = allocate_buffers({0: 3.0, 1: 1.0}, POOL, 1000)
     print(f"pool of {POOL} bytes at prices 3:1 -> buffers {buffers}")
 
     params = DumbbellParams(duration_s=30.0, warmup_s=5.0)

@@ -2,60 +2,16 @@
 
 A host serving many connections through the same bottleneck needs
 total buffering of roughly one bandwidth-delay product; throughput is
-window-limited at buffer/RTT until that point and flat beyond it.  The
-pool here splits a byte budget B across connections in proportion to
-what each is paying: b_i = B * k_i / sum_j k_j.
+window-limited at buffer/RTT until that point and flat beyond it.
+`allocate_buffers` splits a byte budget B across connections in
+proportion to what each is paying: b_i = B * k_i / sum_j k_j.
 
 Allocations are rounded down to whole segments and the leftover bytes
 go to the highest-paying connection, so the budget is always handed out
-exactly.  A change that shrinks a connection's buffer cannot take
-effect immediately: the memory is already holding data, so the receiver
-reclaims it by withholding window updates, at the rate packets arrive.
-The change list marks such entries so callers can apply them that way.
+exactly.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class BufferChange:
-    conn_id: int
-    old_bytes: int
-    new_bytes: int
-
-    @property
-    def shrinking(self) -> bool:
-        return self.new_bytes < self.old_bytes
-
-
-def compute_budget(bandwidth_bps: float, rtts_s, prices=None) -> int:
-    """Pool size in bytes: bottleneck bandwidth times the mean RTT.
-
-    With prices given, the mean is price-weighted, so the pool tracks
-    the connections that matter most to it.
-    """
-    rtts = list(rtts_s)
-    if bandwidth_bps <= 0:
-        raise ValueError("bandwidth must be positive")
-    if not rtts or any(r <= 0 for r in rtts):
-        raise ValueError("need at least one positive RTT")
-    if prices is None:
-        weights = [1.0] * len(rtts)
-    else:
-        weights = list(prices)
-        if len(weights) != len(rtts) or any(w <= 0 for w in weights):
-            raise ValueError("prices must be positive, one per RTT")
-    mean_rtt = sum(w * r for w, r in zip(weights, rtts)) / sum(weights)
-    return int(round(bandwidth_bps / 8.0 * mean_rtt))
-
-
-def throughput_bound(buffer_bytes: float, rtt_s: float) -> float:
-    """Ceiling a receive buffer imposes: one bufferful per round trip."""
-    if buffer_bytes <= 0 or rtt_s <= 0:
-        raise ValueError("buffer and rtt must be positive")
-    return buffer_bytes / rtt_s
 
 
 def allocate_buffers(prices: dict[int, float], budget_bytes: int,
@@ -84,81 +40,3 @@ def allocate_buffers(prices: dict[int, float], budget_bytes: int,
     top = min(prices, key=lambda c: (-prices[c], c))
     out[top] += residual
     return out
-
-
-class BufferPool:
-    """Live allocation state: connections join, leave and change price.
-
-    The budget is either fixed at construction or derived from a
-    bottleneck bandwidth and the mean RTT of the current members, in
-    which case it is recomputed on every rebalance.  Every mutation
-    returns the list of per-connection changes it caused.
-    """
-
-    def __init__(self, *, budget_bytes: int | None = None,
-                 bandwidth_bps: float | None = None,
-                 segment_bytes: int = 1000) -> None:
-        if (budget_bytes is None) == (bandwidth_bps is None):
-            raise ValueError("give exactly one of budget_bytes or bandwidth_bps")
-        if segment_bytes <= 0:
-            raise ValueError("segment size must be positive")
-        self._budget_bytes = budget_bytes
-        self._bandwidth_bps = bandwidth_bps
-        self.segment_bytes = segment_bytes
-        self._prices: dict[int, float] = {}
-        self._rtts: dict[int, float] = {}
-        self.allocations: dict[int, int] = {}
-
-    def budget_bytes(self) -> int:
-        if self._budget_bytes is not None:
-            return self._budget_bytes
-        if not self._rtts:
-            return 0
-        ids = sorted(self._rtts)
-        return compute_budget(self._bandwidth_bps,
-                              [self._rtts[i] for i in ids],
-                              [self._prices[i] for i in ids])
-
-    def join(self, conn_id: int, price: float,
-             rtt_s: float | None = None) -> list[BufferChange]:
-        if conn_id in self._prices:
-            raise ValueError(f"connection {conn_id} already joined")
-        if price <= 0:
-            raise ValueError("price must be positive")
-        if self._bandwidth_bps is not None:
-            if rtt_s is None or rtt_s <= 0:
-                raise ValueError("a derived budget needs each member's RTT")
-            self._rtts[conn_id] = rtt_s
-        self._prices[conn_id] = price
-        return self.rebalance()
-
-    def leave(self, conn_id: int) -> list[BufferChange]:
-        if conn_id not in self._prices:
-            raise ValueError(f"connection {conn_id} is not a member")
-        del self._prices[conn_id]
-        self._rtts.pop(conn_id, None)
-        return self.rebalance()
-
-    def reprice(self, conn_id: int, price: float) -> list[BufferChange]:
-        if conn_id not in self._prices:
-            raise ValueError(f"connection {conn_id} is not a member")
-        if price <= 0:
-            raise ValueError("price must be positive")
-        self._prices[conn_id] = price
-        return self.rebalance()
-
-    def rebalance(self) -> list[BufferChange]:
-        """Recompute allocations; a second call in a row changes nothing."""
-        if self._prices:
-            new = allocate_buffers(self._prices, self.budget_bytes(),
-                                   self.segment_bytes)
-        else:
-            new = {}
-        changes = []
-        for conn_id in sorted(set(self.allocations) | set(new)):
-            old_b = self.allocations.get(conn_id, 0)
-            new_b = new.get(conn_id, 0)
-            if old_b != new_b:
-                changes.append(BufferChange(conn_id, old_b, new_b))
-        self.allocations = new
-        return changes

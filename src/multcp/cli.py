@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -87,7 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", help="comma-separated weights (default all 1)")
     p.add_argument("--allocate", choices=("maxmin", "wpf"),
                    help="print this allocation instead of checking --rates")
-    p.add_argument("--samples", type=int, default=10_000)
     p.set_defaults(func=_cmd_fairness_check)
 
     p = sub.add_parser("alloc", help="price-proportional buffer allocation")
@@ -115,6 +115,8 @@ def _floats(text: str, what: str) -> list[float]:
         raise ValueError(f"{what}: {exc}") from exc
     if not values:
         raise ValueError(f"{what}: empty list")
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{what}: every value must be finite")
     return values
 
 
@@ -202,7 +204,10 @@ def _load_network(path) -> Network:
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: capacities: {exc}") from exc
     routes = tuple(tuple(str(x) for x in route) for route in data["routes"])
-    return Network(capacities=capacities, routes=routes)
+    try:
+        return Network(capacities=capacities, routes=routes)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _cmd_fairness_check(args) -> int:
@@ -231,7 +236,7 @@ def _cmd_fairness_check(args) -> int:
     if len(rates) != n:
         raise ValueError(f"--rates: expected {n} entries")
     mm = check_maxmin(network, rates)
-    pf = check_weighted_pf(network, rates, weights, samples=args.samples)
+    pf = check_weighted_pf(network, rates, weights, samples=10_000)
     print(f"maxmin: {'PASS' if mm.passed else 'FAIL'} "
           f"(method={mm.method}, strict="
           f"{'n/a' if mm.passed_strict is None else mm.passed_strict})")

@@ -33,7 +33,6 @@ from .aqm import RedParams, RedQueue
 from .tcp import TcpReceiver, TcpSender, TraceRecord
 
 NS_PER_SEC = 1_000_000_000
-ACK_BYTES = 40
 
 # event kinds
 _FLOW_START = 0
@@ -94,6 +93,14 @@ class FlowSpec:
     advertised_bytes: int | None = None     # receive-buffer cap
 
     def __post_init__(self) -> None:
+        for key, value, least in (("n", self.n_weight, 1),
+                                  ("start", self.start_s, 0),
+                                  ("jitter", self.start_jitter_s, 0)):
+            if not (math.isfinite(value) and value >= least):
+                raise ValueError(f"{key} must be finite and at least {least}, "
+                                 f"got {value!r}")
+        if self.bulk_bytes is not None and not self.bulk_bytes >= 1:
+            raise ValueError(f"bulk_bytes must be at least 1, got {self.bulk_bytes!r}")
         if self.ssthresh < 2:
             raise ValueError(f"ssthresh must be at least 2, got {self.ssthresh!r}")
         if self.stop_s is not None and not self.stop_s > self.start_s:
@@ -115,6 +122,12 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.payload_bytes <= 0:
             raise ValueError(f"payload must be positive, got {self.payload_bytes!r}")
+        for i, flow in enumerate(self.flows):
+            if flow.advertised_bytes is not None and \
+                    not flow.advertised_bytes >= self.payload_bytes:
+                raise ValueError(f"flow {i}: advertised_bytes must be at least "
+                                 f"one payload ({self.payload_bytes}), "
+                                 f"got {flow.advertised_bytes!r}")
         if not math.isfinite(self.duration_s):
             raise ValueError(f"duration must be finite, got {self.duration_s!r}")
         if not self.warmup_s >= 0:

@@ -255,12 +255,6 @@ def _incidence(network: Network, routes):
     return caps, incidence
 
 
-def check_pf(network: Network, rates, **kwargs) -> PfVerdict:
-    """Unweighted proportional fairness."""
-    return check_weighted_pf(network, rates, [1.0] * network.n_connections,
-                             **kwargs)
-
-
 # -- weighted proportionally fair allocation -------------------------------
 
 @dataclass(frozen=True)

@@ -51,15 +51,10 @@ def multcp_throughput(n_weight: float, p: float, packet_bytes: float,
     """
     _check_weight(n_weight)
     _check_loss(p)
-    if packet_bytes <= 0 or rtt_s <= 0:
+    if not (packet_bytes > 0 and rtt_s > 0):
         raise ValueError("packet_bytes and rtt_s must be positive")
     return math.sqrt(2.0 * n_weight * (n_weight - 0.25)) * packet_bytes \
         / (rtt_s * math.sqrt(p))
-
-
-def standard_throughput(p: float, packet_bytes: float, rtt_s: float) -> float:
-    """Throughput of an unweighted connection: sqrt(3/2) * B / (R sqrt(p))."""
-    return multcp_throughput(1.0, p, packet_bytes, rtt_s)
 
 
 def gain_ratio(n_weight: float) -> float:
@@ -119,7 +114,7 @@ def sawtooth_oracle(n_weight: float, p: float, packet_bytes: float,
 
 
 def _check_weight(n_weight: float) -> None:
-    if n_weight < 1.0:
+    if not n_weight >= 1.0:
         raise ValueError("n_weight must be >= 1")
 
 

@@ -1,34 +1,8 @@
-"""Receive-buffer budget and its price-proportional split."""
+"""Price-proportional split of a receive-buffer budget."""
 
 import pytest
 
-from multcp.allocator import (BufferPool, allocate_buffers, compute_budget,
-                              throughput_bound)
-
-
-def test_budget_is_bandwidth_times_mean_rtt():
-    # 80 Mb/s = 10 MB/s, mean RTT 0.1 s -> 1 MB
-    assert compute_budget(80e6, [0.05, 0.15]) == 1_000_000
-
-
-def test_budget_price_weighted():
-    assert compute_budget(80e6, [0.1, 0.4], prices=[3.0, 1.0]) == \
-        int(round(10e6 * (3 * 0.1 + 1 * 0.4) / 4))
-
-
-def test_budget_validation():
-    with pytest.raises(ValueError):
-        compute_budget(0.0, [0.1])
-    with pytest.raises(ValueError):
-        compute_budget(1e6, [])
-    with pytest.raises(ValueError):
-        compute_budget(1e6, [0.1], prices=[1.0, 2.0])
-
-
-def test_throughput_bound():
-    assert throughput_bound(64_000, 0.08) == pytest.approx(800_000.0)
-    with pytest.raises(ValueError):
-        throughput_bound(0, 0.1)
+from multcp.allocator import allocate_buffers
 
 
 def test_allocate_exact_proportions_and_sum():
@@ -54,57 +28,3 @@ def test_allocate_validation():
         allocate_buffers({1: 0.0}, 1000, 100)
     with pytest.raises(ValueError):
         allocate_buffers({1: 1.0}, 1000, 0)
-
-
-def test_pool_join_leave_reprice():
-    pool = BufferPool(budget_bytes=90_000, segment_bytes=1000)
-    changes = pool.join(1, 1.0)
-    assert [(c.conn_id, c.new_bytes) for c in changes] == [(1, 90_000)]
-
-    changes = pool.join(2, 2.0)
-    assert pool.allocations == {1: 30_000, 2: 60_000}
-    shrunk = [c for c in changes if c.shrinking]
-    assert [(c.conn_id, c.old_bytes, c.new_bytes) for c in shrunk] == \
-        [(1, 90_000, 30_000)]
-
-    pool.reprice(2, 1.0)
-    assert pool.allocations == {1: 45_000, 2: 45_000}
-
-    changes = pool.leave(1)
-    assert pool.allocations == {2: 90_000}
-    assert any(c.conn_id == 1 and c.new_bytes == 0 for c in changes)
-
-
-def test_pool_rebalance_idempotent():
-    pool = BufferPool(budget_bytes=50_000)
-    pool.join(1, 1.0)
-    pool.join(2, 4.0)
-    assert pool.rebalance() == []
-
-
-def test_pool_derived_budget_tracks_members():
-    pool = BufferPool(bandwidth_bps=80e6, segment_bytes=1000)
-    pool.join(1, 1.0, rtt_s=0.1)
-    assert pool.budget_bytes() == 1_000_000
-    pool.join(2, 1.0, rtt_s=0.3)
-    assert pool.budget_bytes() == 2_000_000      # mean RTT rose
-    pool.leave(2)
-    assert pool.budget_bytes() == 1_000_000
-
-
-def test_pool_constructor_and_membership_errors():
-    with pytest.raises(ValueError):
-        BufferPool()
-    with pytest.raises(ValueError):
-        BufferPool(budget_bytes=1000, bandwidth_bps=1e6)
-    pool = BufferPool(budget_bytes=1000)
-    pool.join(1, 1.0)
-    with pytest.raises(ValueError):
-        pool.join(1, 2.0)
-    with pytest.raises(ValueError):
-        pool.reprice(9, 1.0)
-    with pytest.raises(ValueError):
-        pool.leave(9)
-    derived = BufferPool(bandwidth_bps=1e6)
-    with pytest.raises(ValueError):
-        derived.join(1, 1.0)        # needs an RTT

@@ -81,6 +81,14 @@ def test_simulate_stdout_matches_output_file(tmp_path, capsysbinary):
     ("top", "duration", float("inf"), "duration"),
     ("top", "payload", 0, "payload"),
     ("top", "warmup", -1.0, "warmup"),
+    ("flows", "n", float("inf"), "n must be"),
+    ("flows", "n", float("nan"), "n must be"),
+    ("flows", "start", -1.0, "start must be"),
+    ("flows", "jitter", -0.5, "jitter must be"),
+    ("flows", "bulk_bytes", 0, "bulk_bytes must be"),
+    ("flows", "bulk_bytes", -5000, "bulk_bytes must be"),
+    ("flows", "advertised_bytes", 0, "advertised_bytes must be"),
+    ("flows", "advertised_bytes", 500, "advertised_bytes must be"),
 ])
 def test_simulate_rejects_invalid_values(tmp_path, capsys, where, key, value,
                                          message):
@@ -182,6 +190,7 @@ def test_fairness_check_verdicts(tmp_path, capsys):
     assert main(["fairness-check", str(net), "--rates", "5,5"]) == 0
     out = capsys.readouterr().out
     assert "maxmin: PASS" in out and "weighted-pf: PASS" in out
+    assert "over 10000 samples" in out
     assert main(["fairness-check", str(net), "--rates", "1,2"]) == 0
     out = capsys.readouterr().out
     assert "maxmin: FAIL" in out and "weighted-pf: FAIL" in out
@@ -215,6 +224,8 @@ def test_fairness_check_rate_count_mismatch(tmp_path, capsys):
      "at least one connection"),
     ("capacities: {a: 1}\nroutes: []\n", ["--allocate", "wpf"],
      "at least one connection"),
+    ("capacities: {a: 1}\nroutes: [[x]]\n", ["--allocate", "maxmin"],
+     "unknown link 'x'"),
 ])
 def test_fairness_check_rejects_bad_network(tmp_path, capsys, text, args,
                                             message):
@@ -224,7 +235,25 @@ def test_fairness_check_rejects_bad_network(tmp_path, capsys, text, args,
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
     err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+    assert len(err) == 1 and err[0].startswith(f"error: {net}")
+    assert message in err[0]
+
+
+@pytest.mark.parametrize("args, option", [
+    (["fairness-check", "NET", "--rates", "0.5,0.5", "--weights", "1,nan"],
+     "--weights"),
+    (["fairness-check", "NET", "--rates", "nan,0.5"], "--rates"),
+    (["model", "--n-grid", "nan"], "--n-grid"),
+    (["model", "--rtt", "nan"], "rtt_s"),
+    (["alloc", "--prices", "1,nan", "--budget", "1000"], "--prices"),
+])
+def test_non_finite_numbers_are_one_error_line(tmp_path, capsys, args, option):
+    net = str(write_network(tmp_path))
+    rc = main([net if arg == "NET" else arg for arg in args])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and option in err[0]
 
 
 def test_alloc_exact_proportions(tmp_path):

@@ -3,6 +3,7 @@
 `demos/gain_curve.py` is left out: it sweeps for about a minute.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -11,6 +12,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# SHA-256 of the stdout of each demo whose seeded output is pinned
+PINNED = {"buffer_split.py":
+          "9d00adf725fe68c8d4bcfb4def05d89e1daf676e0649b75b6e52b4d35784139a"}
 
 
 def run_demo(name: str) -> str:
@@ -32,4 +37,7 @@ def test_police_a_flow_catches_the_understated_weight():
 
 @pytest.mark.parametrize("name", ["buffer_split.py", "model_vs_oracle.py"])
 def test_demo_runs(name):
-    assert run_demo(name)
+    out = run_demo(name)
+    assert out
+    if name in PINNED:
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED[name]

@@ -5,8 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from multcp.fairness import (Network, check_maxmin, check_pf,
-                             check_weighted_pf, maxmin_allocate, wpf_allocate)
+from multcp.fairness import (Network, check_maxmin, check_weighted_pf,
+                             maxmin_allocate, wpf_allocate)
 
 TRIANGLE = Network(
     capacities={"ab": 10.0, "bc": 10.0},
@@ -131,7 +131,8 @@ def test_wpf_output_passes_pf_check():
 def test_pf_check_rejects_maxmin_on_asymmetric_net():
     # equal split is not proportionally fair when routes differ in length
     rates = maxmin_allocate(TRIANGLE)
-    verdict = check_pf(TRIANGLE, rates, samples=4000, seed=2)
+    verdict = check_weighted_pf(TRIANGLE, rates, [1.0] * 3, samples=4000,
+                                seed=2)
     assert not verdict.passed
     assert verdict.worst_sum > 0
 

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from multcp.model import (SawtoothResult, cycle_data, gain_ratio, loss_rate,
-                          multcp_throughput, peak_window, sawtooth_oracle,
-                          standard_throughput)
+                          multcp_throughput, peak_window, sawtooth_oracle)
 
 
 def test_cycle_data_matches_hand_integration():
@@ -31,11 +30,6 @@ def test_throughput_formula_value():
     # T = sqrt(2 N (N - 1/4)) B / (R sqrt(p))
     t = multcp_throughput(4.0, 1e-4, 1000.0, 0.1)
     assert t == pytest.approx(math.sqrt(30.0) * 1000.0 / (0.1 * 1e-2))
-
-
-def test_standard_is_weight_one():
-    assert standard_throughput(1e-3, 1500.0, 0.05) == \
-        multcp_throughput(1.0, 1e-3, 1500.0, 0.05)
 
 
 def test_throughput_scales_inverse_sqrt_loss():
@@ -80,6 +74,8 @@ def test_oracle_is_seed_deterministic():
     lambda: multcp_throughput(1.0, 1e-3, 1000.0, 0.0),
     lambda: gain_ratio(0.9),
     lambda: sawtooth_oracle(1.0, 1e-3, 1000.0, 0.1, cycles=5),
+    lambda: gain_ratio(float("nan")),
+    lambda: multcp_throughput(1.0, 1e-3, 1000.0, float("nan")),
 ])
 def test_rejects_bad_arguments(call):
     with pytest.raises(ValueError):
