@@ -20,7 +20,6 @@ one, so verdicts report both.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +29,8 @@ _EPS = 1e-9
 # wpf_allocate declares convergence at this KKT residual, so the weighted
 # PF check accepts rate vectors that are feasible to the same tolerance
 _KKT_TOL = 1e-6
+_GRID_POINTS = 11     # per connection in check_maxmin's definitional search
+_BRUTE_MAX_CONNS, _BRUTE_MAX_LINKS = 4, 3     # the largest instance searched
 
 
 @dataclass(frozen=True)
@@ -118,8 +119,7 @@ def maxmin_allocate(network: Network) -> list[float]:
     return rates
 
 
-def check_maxmin(network: Network, rates, *, grid_points: int = 11,
-                 brute_force_limit: tuple[int, int] = (4, 3)) -> MaxminVerdict:
+def check_maxmin(network: Network, rates) -> MaxminVerdict:
     """Is `rates` max-min fair on `network`?
 
     Small instances are checked against the definition over a grid of
@@ -130,49 +130,49 @@ def check_maxmin(network: Network, rates, *, grid_points: int = 11,
     if not network.is_feasible(rates):
         return MaxminVerdict(False, False, "feasibility", None,
                              "rate vector is not feasible")
-    n = network.n_connections
-    max_conns, max_links = brute_force_limit
-    if n <= max_conns and len(network.capacities) <= max_links:
-        return _check_maxmin_brute(network, rates, grid_points)
+    if (network.n_connections <= _BRUTE_MAX_CONNS
+            and len(network.capacities) <= _BRUTE_MAX_LINKS):
+        return _check_maxmin_brute(network, rates)
     passed = _check_maxmin_bottleneck(network, rates)
     return MaxminVerdict(passed, None, "bottleneck", None,
                          "instance too large for definitional search")
 
 
-def _check_maxmin_brute(network: Network, rates, grid_points) -> MaxminVerdict:
+def _check_maxmin_brute(network: Network, rates) -> MaxminVerdict:
+    """The definition over the whole grid at once.  Loads are summed in
+    `Network.loads` order, so every comparison, and the witness (the first
+    failure in itertools.product order), is that of a per-point loop."""
     import numpy as np
 
     n = network.n_connections
-    scale = max(max(network.capacities.values()), 1.0)
-    eps = _EPS * scale
-    axes = [np.linspace(0.0, network.route_cap(i), grid_points) for i in range(n)]
-    passed = True
-    passed_strict = True
-    witness = None
-    witness_strict = None
-    for y in itertools.product(*axes):
-        if not network.is_feasible(y):
-            continue
-        for r in range(n):
-            if y[r] <= rates[r] + eps:
-                continue
-            # someone with a smaller-or-equal rate must pay for the raise
-            pays = any(y[s] < rates[s] - eps and rates[s] <= rates[r] + eps
-                       for s in range(n))
-            pays_strict = any(y[s] < rates[s] - eps and rates[s] < rates[r] - eps
-                              for s in range(n))
-            if not pays and passed:
-                passed = False
-                witness = (tuple(y), r)
-            if not pays_strict and passed_strict:
-                passed_strict = False
-                witness_strict = (tuple(y), r)
+    eps = _EPS * max(max(network.capacities.values()), 1.0)
+    axes = [np.linspace(0.0, network.route_cap(i), _GRID_POINTS) for i in range(n)]
+    ys = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    loads = dict.fromkeys(network.capacities, 0.0)
+    for i, route in enumerate(network.routes):
+        for name in route:
+            loads[name] = loads[name] + ys[:, i]
+    feasible = np.ones(len(ys), dtype=bool)
+    for name, cap in network.capacities.items():
+        feasible &= loads[name] <= cap * (1.0 + _EPS) + _EPS
+    x = np.array(rates)
+    lowered = ys < x - eps                        # [point, s]
+    raised = feasible[:, None] & (ys > x + eps)   # [point, r]
+
+    def first_failure(victim):      # [s, r]: s may pay for raising r
+        fails = raised & ~(lowered @ victim)
+        return divmod(int(np.argmax(fails)), n) if fails.any() else None
+
+    std = first_failure(x[:, None] <= x + eps)      # smaller-or-equal rate
+    strict = first_failure(x[:, None] < x - eps)    # strictly smaller rate
+    first = std or strict
+    witness = (tuple(ys[first[0]]), first[1]) if first else None
+    passed, passed_strict = std is None, strict is None
     detail = ""
     if passed and not passed_strict:
         detail = ("fails only the strict reading (no strictly smaller victim); "
                   "typical for equal-rate allocations")
-    return MaxminVerdict(passed, passed_strict, "brute-force",
-                         witness if witness is not None else witness_strict, detail)
+    return MaxminVerdict(passed, passed_strict, "brute-force", witness, detail)
 
 
 def _check_maxmin_bottleneck(network: Network, rates) -> bool:
@@ -310,20 +310,25 @@ def wpf_allocate(network: Network, weights) -> WpfAllocation:
         q = incidence.T @ lam
         return caps - incidence @ (w_act / q)
 
-    lam0 = np.maximum(incidence @ w_act, 1e-6) / caps
-    res = minimize(dual, lam0, jac=grad, method="L-BFGS-B",
-                   bounds=[(1e-12, None)] * len(caps),
-                   options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-12})
-    lam = res.x
-    q = incidence.T @ lam
-    rates = np.zeros(n)
-    rates[active] = w_act / q
+    lam = np.maximum(incidence @ w_act, 1e-6) / caps
+    # L-BFGS-B can stop on a flat stretch short of the KKT tolerance; one
+    # warm restart from where it stopped gets past it
+    for _ in range(2):
+        res = minimize(dual, lam, jac=grad, method="L-BFGS-B",
+                       bounds=[(1e-12, None)] * len(caps),
+                       options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-12})
+        lam = res.x
+        q = incidence.T @ lam
+        rates = np.zeros(n)
+        rates[active] = w_act / q
 
-    loads = incidence @ rates[active]
-    overload = float(np.max(np.maximum(loads - caps, 0.0) / caps))
-    # complementary slackness, made dimensionless by the total weight
-    slack = float(np.max(lam * np.abs(caps - loads)) / w_act.sum())
-    residual = max(overload, slack)
+        loads = incidence @ rates[active]
+        overload = float(np.max(np.maximum(loads - caps, 0.0) / caps))
+        # complementary slackness, made dimensionless by the total weight
+        slack = float(np.max(lam * np.abs(caps - loads)) / w_act.sum())
+        residual = max(overload, slack)
+        if residual <= _KKT_TOL:
+            break
     converged = bool(res.success) and residual <= _KKT_TOL
     detail = "" if converged else f"optimizer: {res.message}"
     return WpfAllocation(list(rates), converged, residual, "dual-descent", detail)

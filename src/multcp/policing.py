@@ -246,8 +246,8 @@ def verify_declaration(records, decl: Declaration,
     payer's loss, and a trace too thin to estimate from is
     "unverifiable", never a violation.
     """
-    if tolerance < 0:
-        raise ValueError("tolerance must be non-negative")
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError("tolerance must be non-negative and finite")
     window = [r for r in records
               if r.flow_id == decl.flow_id
               and decl.start_ns <= r.time_ns < decl.end_ns]

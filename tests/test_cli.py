@@ -246,6 +246,9 @@ def test_fairness_check_rejects_bad_network(tmp_path, capsys, text, args,
     (["model", "--n-grid", "nan"], "--n-grid"),
     (["model", "--rtt", "nan"], "rtt_s"),
     (["alloc", "--prices", "1,nan", "--budget", "1000"], "--prices"),
+    (["model", "--rtt", "inf"], "rtt_s"),
+    (["model", "--packet", "inf"], "packet_bytes"),
+    (["model", "--rtt", "nan", "--oracle"], "rtt_s"),
 ])
 def test_non_finite_numbers_are_one_error_line(tmp_path, capsys, args, option):
     net = str(write_network(tmp_path))
@@ -312,6 +315,22 @@ def test_police_bad_period(tmp_path, capsys):
                "--period", "oops"])
     assert rc == 1
     assert "--period" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+def test_police_rejects_bad_tolerance(tmp_path, capsys, tolerance):
+    # with a NaN tolerance every declaration used to be compliant
+    trace = tmp_path / "trace.csv"
+    decls = tmp_path / "decls.csv"
+    write_trace_csv(compliant_trace(4.0), trace)
+    write_declarations_csv([Declaration(0, 1.0, 0, 10**9)], decls)
+    rc = main(["police", "--trace", str(trace), "--declarations", str(decls),
+               f"--tolerance={tolerance}"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "tolerance" in err[0]
 
 
 @pytest.mark.parametrize("row, problem", [

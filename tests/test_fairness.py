@@ -1,12 +1,13 @@
 """Max-min and proportional fairness: allocators and checkers."""
 
+import itertools
 import random
 
 import numpy as np
 import pytest
 
-from multcp.fairness import (Network, check_maxmin, check_weighted_pf,
-                             maxmin_allocate, wpf_allocate)
+from multcp.fairness import (Network, MaxminVerdict, check_maxmin,
+                             check_weighted_pf, maxmin_allocate, wpf_allocate)
 
 TRIANGLE = Network(
     capacities={"ab": 10.0, "bc": 10.0},
@@ -98,6 +99,83 @@ def test_check_maxmin_large_instance_uses_bottleneck_rule():
     assert verdict.passed_strict is None
 
 
+def reference_maxmin(network, rates):
+    """check_maxmin on a small instance, one grid point at a time.
+
+    This is the itertools loop that the one-pass numpy search replaced,
+    kept as the reference it must match bit for bit.  The only change is
+    the early exit once both witnesses are found, after which the loop
+    could change nothing.
+    """
+    rates = [float(r) for r in rates]
+    if not network.is_feasible(rates):
+        return MaxminVerdict(False, False, "feasibility", None,
+                             "rate vector is not feasible")
+    n = network.n_connections
+    scale = max(max(network.capacities.values()), 1.0)
+    eps = 1e-9 * scale
+    axes = [np.linspace(0.0, network.route_cap(i), 11) for i in range(n)]
+    passed = True
+    passed_strict = True
+    witness = None
+    witness_strict = None
+    for y in itertools.product(*axes):
+        if not passed and not passed_strict:
+            break
+        if not network.is_feasible(y):
+            continue
+        for r in range(n):
+            if y[r] <= rates[r] + eps:
+                continue
+            pays = any(y[s] < rates[s] - eps and rates[s] <= rates[r] + eps
+                       for s in range(n))
+            pays_strict = any(y[s] < rates[s] - eps and rates[s] < rates[r] - eps
+                              for s in range(n))
+            if not pays and passed:
+                passed = False
+                witness = (tuple(y), r)
+            if not pays_strict and passed_strict:
+                passed_strict = False
+                witness_strict = (tuple(y), r)
+    detail = ""
+    if passed and not passed_strict:
+        detail = ("fails only the strict reading (no strictly smaller victim); "
+                  "typical for equal-rate allocations")
+    return MaxminVerdict(passed, passed_strict, "brute-force",
+                         witness if witness is not None else witness_strict, detail)
+
+
+def test_check_maxmin_matches_the_point_loop():
+    # 300 random networks of 1-3 links and 1-4 connections, each with its
+    # max-min optimum, that scaled by 0.9 and 0.5, a 5% transfer between
+    # two connections (which may be infeasible) and the zero vector
+    rng = random.Random(12)
+    checked = failed = 0
+    for _ in range(300):
+        links = [f"l{i}" for i in range(rng.randint(1, 3))]
+        caps = {name: rng.uniform(1.0, 100.0) for name in links}
+        routes = tuple(tuple(rng.sample(links, rng.randint(1, len(links))))
+                       for _ in range(rng.randint(1, 4)))
+        net = Network(capacities=caps, routes=routes)
+        best = maxmin_allocate(net)
+        shifted = list(best)
+        if len(best) > 1:
+            i, j = rng.sample(range(len(best)), 2)
+            shifted[i] -= 0.05 * best[i]
+            shifted[j] += 0.05 * best[i]
+        for rates in (best, [0.9 * x for x in best], [0.5 * x for x in best],
+                      shifted, [0.0] * len(best)):
+            got = check_maxmin(net, rates)
+            want = reference_maxmin(net, rates)
+            assert got == want, (caps, routes, rates)
+            if got.witness is not None:
+                assert [x.hex() for x in map(float, got.witness[0])] == \
+                    [x.hex() for x in map(float, want.witness[0])]
+            checked += 1
+            failed += not got.passed
+    assert checked == 1500 and 0 < failed < checked
+
+
 def test_wpf_single_link_closed_form():
     net = Network(capacities={"l": 30.0}, routes=(("l",),) * 3)
     alloc = wpf_allocate(net, [1.0, 2.0, 3.0])
@@ -141,6 +219,18 @@ def test_pf_check_flags_infeasible_and_starved():
     assert not check_weighted_pf(TRIANGLE, [9, 9, 9], [1, 1, 1]).passed
     out = check_weighted_pf(TRIANGLE, [0.0, 5.0, 5.0], [1, 1, 1])
     assert not out.passed and "zero rate" in out.detail
+
+
+def test_wpf_restarts_a_stalled_solve():
+    # L-BFGS-B stops at a KKT residual of 1.8e-6 on this network; one warm
+    # restart from where it stopped reaches about 1e-8
+    net = Network(capacities={"l0": 1.6463932040459577,
+                              "l1": 11.324557036636554,
+                              "l2": 89.19022939192499},
+                  routes=(("l1",), ("l0",), ("l2",), ("l0", "l1", "l2")))
+    alloc = wpf_allocate(net, [2.4789521990777565, 3.709034296521901,
+                               6.364686090913879, 6.380761077452064])
+    assert alloc.converged and alloc.kkt_residual <= 1e-6, alloc
 
 
 def test_wpf_rejects_bad_weights():

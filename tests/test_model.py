@@ -65,6 +65,32 @@ def test_oracle_is_seed_deterministic():
     assert a == b
 
 
+# float.hex of (throughput_Bps, mean_window, packets) per (N, p, seed,
+# cycles), recorded from the numpy-scalar recurrence the Python-float one
+# replaced; the 70,000-cycle case spans two conversion blocks
+ORACLE_BITS = [
+    ((1.0, 1e-3, 0, 1000), ("0x1.93028efe0cc58p+18", "0x1.4a255252c7b29p+5",
+                            "0x1.b966600000000p+19")),
+    ((2.0, 1e-2, 1, 1000), ("0x1.0b43aa433ce7bp+18", "0x1.b5e2c77ef4c91p+4",
+                            "0x1.6164000000000p+16")),
+    ((4.0, 1e-4, 2, 1000), ("0x1.46cc01bd825c2p+22", "0x1.0bb6470ec0ce9p+9",
+                            "0x1.fcb9e00000000p+22")),
+    ((7.5, 3e-2, 3, 1000), ("0x1.298d646c911bdp+19", "0x1.e7827c64df002p+5",
+                            "0x1.d94c000000000p+14")),
+    ((8.0, 1e-3, 4, 70_000), ("0x1.b1bb6f9a38a9ep+21", "0x1.63503aa81e08fp+8",
+                              "0x1.e1a6850000000p+25")),
+]
+
+
+@pytest.mark.parametrize("case, bits", ORACLE_BITS)
+def test_oracle_bits_are_pinned(case, bits):
+    n, p, seed, cycles = case
+    res = sawtooth_oracle(n, p, 1000.0, 0.1, cycles=cycles, seed=seed)
+    fields = (res.throughput_Bps, res.mean_window, res.packets)
+    assert all(type(f) is float for f in fields)
+    assert tuple(f.hex() for f in fields) == bits
+
+
 @pytest.mark.parametrize("call", [
     lambda: cycle_data(0.0, 1.0),
     lambda: cycle_data(10.0, 0.5),
@@ -76,6 +102,11 @@ def test_oracle_is_seed_deterministic():
     lambda: sawtooth_oracle(1.0, 1e-3, 1000.0, 0.1, cycles=5),
     lambda: gain_ratio(float("nan")),
     lambda: multcp_throughput(1.0, 1e-3, 1000.0, float("nan")),
+    lambda: multcp_throughput(1.0, 1e-3, 1000.0, math.inf),
+    lambda: multcp_throughput(1.0, 1e-3, math.inf, 0.1),
+    lambda: sawtooth_oracle(1.0, 1e-3, 1000.0, 0.0),
+    lambda: sawtooth_oracle(1.0, 1e-3, 1000.0, math.inf),
+    lambda: sawtooth_oracle(1.0, 1e-3, float("nan"), 0.1),
 ])
 def test_rejects_bad_arguments(call):
     with pytest.raises(ValueError):

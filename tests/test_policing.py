@@ -132,6 +132,14 @@ def test_verify_declaration_respects_window():
     assert report.status == "unverifiable"      # all evidence outside window
 
 
+@pytest.mark.parametrize("tolerance", [-0.1, float("nan"), float("inf")])
+def test_verify_declaration_rejects_bad_tolerance(tolerance):
+    # a NaN tolerance used to pass every declaration, violations included
+    decl = Declaration(flow_id=0, declared_n=1.0, start_ns=0, end_ns=10**9)
+    with pytest.raises(ValueError, match="tolerance"):
+        verify_declaration(loss_trace(8.0), decl, tolerance=tolerance)
+
+
 def test_declaration_validation():
     with pytest.raises(ValueError):
         Declaration(flow_id=0, declared_n=0.5, start_ns=0, end_ns=1)
