@@ -122,6 +122,10 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.payload_bytes <= 0:
             raise ValueError(f"payload must be positive, got {self.payload_bytes!r}")
+        names = [link.name for link in self.links]
+        for name in names:
+            if names.count(name) > 1:
+                raise ValueError(f"duplicate link name {name!r}")
         for i, flow in enumerate(self.flows):
             if flow.advertised_bytes is not None and \
                     not flow.advertised_bytes >= self.payload_bytes:

@@ -447,6 +447,9 @@ def scenario_from_dict(data: dict) -> Scenario:
             advertised_bytes=None if entry.get("advertised_bytes") is None
             else int(entry["advertised_bytes"])))
 
+    trace = data.get("trace", False)
+    if not isinstance(trace, bool):
+        raise ScenarioError(f"trace: expected true or false, got {trace!r}")
     scenario = Scenario(
         links=tuple(links), flows=tuple(flows),
         duration_s=_as_float(data["duration"], "duration"),
@@ -454,7 +457,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         seed=int(data.get("seed", 0)),
         payload_bytes=int(data.get("payload", 1000)),
         red=_red_from(data["red"]) if "red" in data else RedParams(),
-        trace=bool(data.get("trace", False)))
+        trace=trace)
     if scenario.duration_s <= scenario.warmup_s:
         raise ScenarioError("duration must exceed warmup")
     return scenario

@@ -306,24 +306,44 @@ def read_trace_csv(path) -> list[TraceRecord]:
     """Read a trace CSV; a bad row raises ValueError naming file and line.
 
     Rows must have seven fields, integer time/flow/seq/ack, a known
-    event name and finite (or empty) cwnd values.
+    event name and finite (or empty) cwnd values.  A time equal in text
+    to the previous row's, a cwnd_before equal to its flow's last
+    cwnd_after and a cwnd_after equal to cwnd_before share one object.
     """
-    return read_csv(path, TRACE_COLUMNS, "trace", _trace_record)
+    return read_csv(path, TRACE_COLUMNS, "trace", _trace_parser())
 
 
-def _trace_record(row: list[str]) -> TraceRecord:
-    time_ns, flow_id, event, before, after, seq, ack = row
-    kind = _EVENT_NAMES.get(event)
-    if kind is None:
-        raise ValueError(f"unknown event {event!r}, expected one of "
-                         f"{', '.join(TRACE_EVENTS)}")
-    before = float(before) if before else None
-    after = float(after) if after else None
-    if (before is not None and not math.isfinite(before)
-            or after is not None and not math.isfinite(after)):
-        raise ValueError(f"non-finite cwnd {row[3:5]!r}")
-    return TraceRecord(int(time_ns), int(flow_id), kind, before, after,
-                       int(seq) if seq else None, int(ack) if ack else None)
+def _trace_parser():
+    """A row parser for read_trace_csv that shares values whose text repeats.
+
+    It keeps the last time and each flow's last cwnd_after, never a table
+    keyed by value; a shared value was checked when it was first parsed.
+    """
+    last_time: tuple[str | None, int] = (None, 0)
+    last_after: dict[str, tuple[str, float | None]] = {}   # flow text -> cwnd
+
+    def parse(row: list[str]) -> TraceRecord:
+        nonlocal last_time
+        time_ns, flow_id, event, before_text, after_text, seq, ack = row
+        kind = _EVENT_NAMES.get(event)
+        if kind is None:
+            raise ValueError(f"unknown event {event!r}, expected one of "
+                             f"{', '.join(TRACE_EVENTS)}")
+        prev_text, before = last_after.get(flow_id, (None, None))
+        if before_text != prev_text:
+            before = float(before_text) if before_text else None
+        after = before if after_text == before_text else (
+            float(after_text) if after_text else None)
+        if (before is not None and not math.isfinite(before)
+                or after is not None and not math.isfinite(after)):
+            raise ValueError(f"non-finite cwnd {row[3:5]!r}")
+        if time_ns != last_time[0]:
+            last_time = (time_ns, int(time_ns))
+        last_after[flow_id] = (after_text, after)
+        return TraceRecord(last_time[1], int(flow_id), kind, before, after,
+                           int(seq) if seq else None, int(ack) if ack else None)
+
+    return parse
 
 
 def write_declarations_csv(declarations, target) -> None:

@@ -89,6 +89,8 @@ def test_simulate_stdout_matches_output_file(tmp_path, capsysbinary):
     ("flows", "bulk_bytes", -5000, "bulk_bytes must be"),
     ("flows", "advertised_bytes", 0, "advertised_bytes must be"),
     ("flows", "advertised_bytes", 500, "advertised_bytes must be"),
+    ("top", "trace", "false", "trace: expected true or false"),
+    ("top", "trace", 1, "trace: expected true or false"),
 ])
 def test_simulate_rejects_invalid_values(tmp_path, capsys, where, key, value,
                                          message):
@@ -99,6 +101,21 @@ def test_simulate_rejects_invalid_values(tmp_path, capsys, where, key, value,
     assert rc == 1 and captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+
+
+@pytest.mark.parametrize("rename", [False, True])
+def test_simulate_rejects_duplicate_link_names(tmp_path, capsys, rename):
+    # a second "bn" used to replace the first silently, and renaming "acc"
+    # to "bn" was reported as a route over the unknown link "acc"
+    data = yaml.safe_load(yaml.safe_dump(SCENARIO))     # deep copy
+    if rename:
+        data["links"][1]["name"] = "bn"
+    else:
+        data["links"].append(dict(data["links"][0]))
+    rc = main(["simulate", str(write_scenario(tmp_path, data))])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.splitlines() == ["error: duplicate link name 'bn'"]
 
 
 def test_simulate_bad_trace_path_fails_before_any_output(tmp_path, capsys):

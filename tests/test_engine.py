@@ -1,5 +1,7 @@
 """Event engine: links, scheduling, determinism, conservation."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,7 +9,7 @@ from multcp.aqm import RedParams
 from multcp.engine import (_TIMER, FifoLink, FlowSpec, LinkSpec, Packet,
                            Scenario, Simulation, SimulationError, ns_from_s,
                            s_from_ns)
-from multcp.harness import DumbbellParams, build_dumbbell
+from multcp.harness import DumbbellParams, build_dumbbell, run_scenario
 from multcp.tcp import VARIANTS
 
 
@@ -193,6 +195,30 @@ def test_each_flow_keeps_one_live_timer_over_a_long_run():
         check_timers(sim)
         for flow in sim.flows:
             assert len(timer_times(sim, flow)) <= 3
+
+
+@pytest.mark.slow
+def test_memory_stays_bounded_on_a_long_run():
+    # The untraced paper run, 5x longer: the sack scoreboard, the receiver's
+    # out-of-order runs, the RED queue and the event heap must not grow with
+    # simulated time.  A first run in the process also fills one-time caches,
+    # so an unmeasured warm-up run comes first.
+    def scenario(duration):
+        return build_dumbbell(22, DumbbellParams(duration_s=duration),
+                              variant="sack", weights=[4.0] + [1.0] * 21,
+                              seed=1)
+
+    def peak_bytes(duration):
+        tracemalloc.start()
+        try:
+            run_scenario(scenario(duration))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_scenario(scenario(35.0))
+    short, long = peak_bytes(35.0), peak_bytes(175.0)
+    assert long <= 1.10 * short, (short, long)
 
 
 def run_state(sim):

@@ -1,7 +1,11 @@
 """Weight estimation from traces, declaration checking, billing."""
 
+import csv
+import tracemalloc
+
 import pytest
 
+from multcp.harness import DumbbellParams, build_dumbbell, run_scenario
 from multcp.policing import (DECLARATION_COLUMNS, TRACE_COLUMNS, Declaration,
                              analyze_trace, bill,
                              estimate_n_from_decrease,
@@ -9,7 +13,7 @@ from multcp.policing import (DECLARATION_COLUMNS, TRACE_COLUMNS, Declaration,
                              read_declarations_csv, read_trace_csv,
                              split_trace, verify_declaration,
                              write_declarations_csv, write_trace_csv)
-from multcp.tcp import TraceRecord, slow_start_crossover
+from multcp.tcp import TRACE_EVENTS, TraceRecord, slow_start_crossover
 
 
 def rec(t, event, flow=0, before=None, after=None, seq=None, ack=None):
@@ -212,6 +216,68 @@ def test_read_back_records_share_one_event_string_per_kind(tmp_path):
     assert all(len(v) == 1 for v in ids.values())
 
 
+@pytest.fixture(scope="module")
+def dumbbell_trace(tmp_path_factory):
+    """The trace CSV of a traced 4-flow, 12 s dumbbell, flow 0 at N=4."""
+    scenario = build_dumbbell(4, DumbbellParams(duration_s=12.0, warmup_s=2.0),
+                              weights=[4.0, 1.0, 1.0, 1.0], seed=1, trace=True)
+    path = tmp_path_factory.mktemp("trace") / "trace.csv"
+    write_trace_csv(run_scenario(scenario).trace, path)
+    return path
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+def unshared_read(path):
+    """Parse a trace CSV row by row, sharing only one event string per kind."""
+    events = {name: name for name in TRACE_EVENTS}
+    return [TraceRecord(int(t), int(f), events[e],
+                        float(b) if b else None, float(a) if a else None,
+                        int(s) if s else None, int(k) if k else None)
+            for t, f, e, b, a, s, k in read_rows(path)]
+
+
+def test_read_back_records_share_repeated_values(dumbbell_trace):
+    rows, records = read_rows(dumbbell_trace), read_trace_csv(dumbbell_trace)
+    assert len(rows) == len(records)
+    sent = [r for r in records if r.event == "data-sent"]
+    assert sent and all(r.cwnd_before is r.cwnd_after for r in sent)
+    last_after = {}         # flow -> (cwnd_after text, its object)
+    shared_before = shared_time = 0
+    for i, (row, r) in enumerate(zip(rows, records)):
+        if row[4] == row[3]:
+            assert r.cwnd_after is r.cwnd_before
+        text, after = last_after.get(r.flow_id, (None, None))
+        if row[3] == text:
+            assert r.cwnd_before is after
+            shared_before += 1
+        last_after[r.flow_id] = (row[4], r.cwnd_after)
+        if i and row[0] == rows[i - 1][0]:
+            assert r.time_ns is records[i - 1].time_ns
+            shared_time += 1
+    assert shared_before > len(rows) // 2 and shared_time > 0
+
+
+def test_read_back_records_take_less_memory_than_an_unshared_parse(
+        dumbbell_trace):
+    def traced_size(read):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            records = read(dumbbell_trace)
+            return tracemalloc.get_traced_memory()[0] - base, records
+        finally:
+            tracemalloc.stop()
+
+    shared, records = traced_size(read_trace_csv)
+    unshared, reference = traced_size(unshared_read)
+    assert records == reference
+    assert shared <= 0.8 * unshared, (shared, unshared)
+
+
 def test_csv_readers_reject_malformed(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("nope\n1,2\n")
@@ -229,7 +295,12 @@ def test_csv_readers_reject_malformed(tmp_path):
             ("2,0,loss-detected,4.0,inf,,", "non-finite cwnd"),
             ("2,0,timeout,-inf,1.0,,", "non-finite cwnd"),
             ("2,0,data-sent,1.0,1.0,5", "expected 7 fields, got 6"),
-            ("", "expected 7 fields, got 0")]:
+            ("", "expected 7 fields, got 0"),
+            # a bad field after one shared with line 2: the cwnd_before
+            # and the time repeat line 2's texts
+            ("2,0,loss-detected,1.0,nan,,", "non-finite cwnd ['1.0', 'nan']"),
+            ("1,0,data-sent,1.0,1.0,zz,",
+             "invalid literal for int() with base 10: 'zz'")]:
         bad.write_text(",".join(TRACE_COLUMNS)
                        + "\n1,0,data-sent,1.0,1.0,4,\n" + row + "\n")
         with pytest.raises(ValueError) as info:
