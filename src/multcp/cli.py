@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -31,7 +32,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()      # a closed pipe must raise here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader has gone, as with `| head`: as the signal module's
+        # "Note on SIGPIPE" shows, stdout goes to devnull for the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ScenarioError, SimulationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

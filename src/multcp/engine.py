@@ -103,9 +103,10 @@ class FlowSpec:
             raise ValueError(f"bulk_bytes must be at least 1, got {self.bulk_bytes!r}")
         if self.ssthresh < 2:
             raise ValueError(f"ssthresh must be at least 2, got {self.ssthresh!r}")
-        if self.stop_s is not None and not self.stop_s > self.start_s:
-            raise ValueError(f"stop must be after start ({self.start_s!r}), "
-                             f"got {self.stop_s!r}")
+        if self.stop_s is not None and not (math.isfinite(self.stop_s)
+                                            and self.stop_s > self.start_s):
+            raise ValueError(f"stop must be finite and after start "
+                             f"({self.start_s!r}), got {self.stop_s!r}")
 
 
 @dataclass(frozen=True)

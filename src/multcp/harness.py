@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import csv
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 
 from .aqm import RedParams
 from .engine import (FlowSpec, LinkSpec, Scenario, Simulation, SimulationError,
@@ -359,13 +360,9 @@ def read_csv(path, header, what: str, parse) -> list:
 
 
 # -- scenario files --------------------------------------------------------
-
-_LINK_KEYS = {"name", "bandwidth", "delay", "queue", "limit", "red"}
-_FLOW_KEYS = {"variant", "route", "n", "start", "jitter", "stop",
-              "bulk_bytes", "ssthresh", "advertised_bytes"}
-_TOP_KEYS = {"links", "flows", "duration", "warmup", "seed", "payload",
-             "red", "trace"}
-
+#
+# One table per level: (YAML key, spec field, converter).  Defaults are
+# the spec class's own, and a field without one is a required key.
 
 def load_scenario(path) -> Scenario:
     """Read a YAML scenario file (see scenario_from_dict for the schema)."""
@@ -399,107 +396,92 @@ def scenario_from_dict(data: dict) -> Scenario:
     """Build a Scenario from plain mappings.
 
     Required keys: links (list of {name, bandwidth, delay, queue?,
-    limit?, red?}), flows (list of {variant, route, n?, start?, jitter?,
-    stop?, bulk_bytes?, ssthresh?, advertised_bytes?}) and duration.
-    Optional top-level keys: warmup, seed, payload, red, trace.
-    Bandwidths are bits/second, delays and times are seconds.
+    limit?, red?}), flows (list of {route, variant?, n?, start?,
+    jitter?, stop?, bulk_bytes?, ssthresh?, advertised_bytes?}) and
+    duration.  Optional top-level keys: warmup, seed, payload, red,
+    trace.  An absent or null key takes the spec class's default; a
+    flow's variant defaults to sack.  Bandwidths are bits/second, delays
+    and times are seconds.
     """
-    _check_keys(data, _TOP_KEYS, "scenario")
-    for key in ("links", "flows", "duration"):
-        if key not in data:
-            raise ScenarioError(f"scenario is missing required key {key!r}")
-
-    links = []
-    for i, entry in enumerate(_as_list(data["links"], "links")):
-        _check_keys(entry, _LINK_KEYS, f"links[{i}]")
-        try:
-            links.append(LinkSpec(
-                name=str(entry["name"]),
-                bandwidth_bps=_as_float(entry["bandwidth"], f"links[{i}].bandwidth"),
-                delay_s=_as_float(entry["delay"], f"links[{i}].delay"),
-                queue=str(entry.get("queue", "fifo")),
-                limit=int(entry.get("limit", 1000)),
-                red=_red_from(entry["red"]) if "red" in entry else None))
-        except KeyError as exc:
-            raise ScenarioError(f"links[{i}] is missing {exc}") from exc
-
-    flows = []
-    for i, entry in enumerate(_as_list(data["flows"], "flows")):
-        _check_keys(entry, _FLOW_KEYS, f"flows[{i}]")
-        try:
-            route = entry["route"]
-        except KeyError as exc:
-            raise ScenarioError(f"flows[{i}] is missing {exc}") from exc
-        variant = str(entry.get("variant", "sack"))
-        if variant not in VARIANTS:
-            raise ScenarioError(f"flows[{i}]: unknown variant {variant!r}")
-        flows.append(FlowSpec(
-            variant=variant,
-            route=tuple(str(x) for x in _as_list(route, f"flows[{i}].route")),
-            n_weight=_as_float(entry.get("n", 1.0), f"flows[{i}].n"),
-            start_s=_as_float(entry.get("start", 0.0), f"flows[{i}].start"),
-            start_jitter_s=_as_float(entry.get("jitter", 0.0), f"flows[{i}].jitter"),
-            stop_s=None if entry.get("stop") is None
-            else _as_float(entry["stop"], f"flows[{i}].stop"),
-            bulk_bytes=None if entry.get("bulk_bytes") is None
-            else int(entry["bulk_bytes"]),
-            ssthresh=int(entry.get("ssthresh", 64)),
-            advertised_bytes=None if entry.get("advertised_bytes") is None
-            else int(entry["advertised_bytes"])))
-
-    trace = data.get("trace", False)
-    if not isinstance(trace, bool):
-        raise ScenarioError(f"trace: expected true or false, got {trace!r}")
-    scenario = Scenario(
-        links=tuple(links), flows=tuple(flows),
-        duration_s=_as_float(data["duration"], "duration"),
-        warmup_s=_as_float(data.get("warmup", 0.0), "warmup"),
-        seed=int(data.get("seed", 0)),
-        payload_bytes=int(data.get("payload", 1000)),
-        red=_red_from(data["red"]) if "red" in data else RedParams(),
-        trace=trace)
+    scenario = _build(Scenario, _TOP, data, "")
     if scenario.duration_s <= scenario.warmup_s:
         raise ScenarioError("duration must exceed warmup")
     return scenario
 
 
-def _red_from(entry) -> RedParams:
+def _build(cls, rows, entry, where: str, **kwargs):
+    """cls(**kwargs) filled from the mapping `entry` as `rows` say."""
+    at = where or "scenario"
     if not isinstance(entry, dict):
-        raise ScenarioError("red section must be a mapping")
-    _check_keys(entry, {"thresh", "maxthresh", "limit", "ewma_weight",
-                        "max_drop_prob"}, "red")
-    defaults = RedParams()
-    try:
-        return RedParams(
-            thresh=_as_float(entry.get("thresh", defaults.thresh), "red.thresh"),
-            maxthresh=_as_float(entry.get("maxthresh", defaults.maxthresh),
-                                "red.maxthresh"),
-            limit=int(entry.get("limit", defaults.limit)),
-            ewma_weight=_as_float(entry.get("ewma_weight", defaults.ewma_weight),
-                                  "red.ewma_weight"),
-            max_drop_prob=_as_float(entry.get("max_drop_prob",
-                                              defaults.max_drop_prob),
-                                    "red.max_drop_prob"))
-    except ValueError as exc:
-        raise ScenarioError(f"invalid red parameters: {exc}") from exc
-
-
-def _check_keys(entry, allowed: set, where: str) -> None:
-    if not isinstance(entry, dict):
-        raise ScenarioError(f"{where} must be a mapping")
-    unknown = set(entry) - allowed
+        raise ScenarioError(f"{at} must be a mapping")
+    unknown = set(entry) - {key for key, _, _ in rows}
     if unknown:
-        raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
+        raise ScenarioError(f"{at}: unknown keys {sorted(unknown, key=str)}")
+    required = {f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING}
+    for key, name, convert in rows:
+        if entry.get(key) is not None:
+            kwargs[name] = convert(entry[key], f"{where}.{key}" if where else key)
+        elif name in required and name not in kwargs:
+            raise ScenarioError(f"{at} is missing required key {key!r}")
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}" if where else str(exc)) from exc
 
 
-def _as_list(value, where: str) -> list:
-    if not isinstance(value, list) or not value:
-        raise ScenarioError(f"{where} must be a non-empty list")
+def _only(kind: type, what: str):
+    """A converter that passes values of `kind` alone; bool is no int."""
+    def convert(value, path: str):
+        if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+            raise ScenarioError(f"{path}: expected {what}, got {value!r}")
+        return value
+    return convert
+
+
+_int, _bool, _str = (_only(int, "an integer"), _only(bool, "true or false"),
+                     _only(str, "a string"))
+
+
+def _float(value, path: str) -> float:
+    # PyYAML reads 5.0e6 as a string: YAML 1.1 wants a sign on the exponent
+    try:
+        if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+            return float(value)
+    except (ValueError, OverflowError):
+        pass
+    raise ScenarioError(f"{path}: expected a number, got {value!r}")
+
+
+def _variant(value, path: str) -> str:
+    if _str(value, path) not in VARIANTS:
+        raise ScenarioError(f"{path}: expected one of {', '.join(VARIANTS)}, "
+                            f"got {value!r}")
     return value
 
 
-def _as_float(value, where: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{where}: expected a number, got {value!r}") from exc
+def _each(convert):
+    """A converter from a non-empty list to a tuple, item by item."""
+    def each(value, path: str) -> tuple:
+        if not isinstance(value, list) or not value:
+            raise ScenarioError(f"{path} must be a non-empty list")
+        return tuple(convert(item, f"{path}[{i}]") for i, item in enumerate(value))
+    return each
+
+
+_RED = (("thresh", "thresh", _float), ("maxthresh", "maxthresh", _float),
+        ("limit", "limit", _int), ("ewma_weight", "ewma_weight", _float),
+        ("max_drop_prob", "max_drop_prob", _float))
+_LINK = (("name", "name", _str), ("bandwidth", "bandwidth_bps", _float),
+         ("delay", "delay_s", _float), ("queue", "queue", _str),
+         ("limit", "limit", _int), ("red", "red", partial(_build, RedParams, _RED)))
+_FLOW = (("variant", "variant", _variant), ("route", "route", _each(_str)),
+         ("n", "n_weight", _float), ("start", "start_s", _float),
+         ("jitter", "start_jitter_s", _float), ("stop", "stop_s", _float),
+         ("bulk_bytes", "bulk_bytes", _int), ("ssthresh", "ssthresh", _int),
+         ("advertised_bytes", "advertised_bytes", _int))
+_TOP = (("links", "links", _each(partial(_build, LinkSpec, _LINK))),
+        ("flows", "flows", _each(partial(_build, FlowSpec, _FLOW, variant="sack"))),
+        ("duration", "duration_s", _float), ("warmup", "warmup_s", _float),
+        ("seed", "seed", _int), ("payload", "payload_bytes", _int),
+        ("red", "red", partial(_build, RedParams, _RED)), ("trace", "trace", _bool))

@@ -1,6 +1,10 @@
 """End-to-end checks of the command-line front end."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -91,6 +95,7 @@ def test_simulate_stdout_matches_output_file(tmp_path, capsysbinary):
     ("flows", "advertised_bytes", 500, "advertised_bytes must be"),
     ("top", "trace", "false", "trace: expected true or false"),
     ("top", "trace", 1, "trace: expected true or false"),
+    ("flows", "stop", float("inf"), "stop"),
 ])
 def test_simulate_rejects_invalid_values(tmp_path, capsys, where, key, value,
                                          message):
@@ -116,6 +121,40 @@ def test_simulate_rejects_duplicate_link_names(tmp_path, capsys, rename):
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
     assert captured.err.splitlines() == ["error: duplicate link name 'bn'"]
+
+
+# each value used to be coerced and run: 1.9 as seed 1, true as weight 1.0,
+# 5 as the link name '5'
+@pytest.mark.parametrize("path, value, message", [
+    (("seed",), 1.9, "seed: expected an integer, got 1.9"),
+    (("seed",), True, "seed: expected an integer, got True"),
+    (("links", 1, "limit"), 16.7, "links[1].limit: expected an integer, got 16.7"),
+    (("links", 0, "red", "limit"), 16.5,
+     "links[0].red.limit: expected an integer, got 16.5"),
+    (("flows", 0, "ssthresh"), 64.9,
+     "flows[0].ssthresh: expected an integer, got 64.9"),
+    (("payload",), 1000.5, "payload: expected an integer, got 1000.5"),
+    (("flows", 0, "n"), True, "flows[0].n: expected a number, got True"),
+    (("links", 0, "bandwidth"), True,
+     "links[0].bandwidth: expected a number, got True"),
+    (("links", 0, "name"), 5, "links[0].name: expected a string, got 5"),
+    (("flows", 0, "route", 1), 5, "flows[0].route[1]: expected a string, got 5"),
+    (("flows", 0, "variant"), ["sack"],
+     "flows[0].variant: expected a string, got ['sack']"),
+    pytest.param(("links", 0, "bandwidth"), 10 ** 400,
+                 f"links[0].bandwidth: expected a number, got {10 ** 400}",
+                 id="bandwidth-too-large-for-a-float"),
+])
+def test_simulate_rejects_wrong_types(tmp_path, capsys, path, value, message):
+    data = yaml.safe_load(yaml.safe_dump(SCENARIO))     # deep copy
+    entry = data
+    for key in path[:-1]:
+        entry = entry[key]
+    entry[path[-1]] = value
+    rc = main(["simulate", str(write_scenario(tmp_path, data))])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
 
 
 def test_simulate_bad_trace_path_fails_before_any_output(tmp_path, capsys):
@@ -418,3 +457,26 @@ def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("argv", [
+    # well over a pipe's buffer, so that the writer meets the closed end
+    ["model", "--n-grid", ",".join(map(str, range(1, 300))),
+     "--p-grid", ",".join(f"{i}e-5" for i in range(1, 100))],
+    ["simulate", str(ROOT / "demos" / "two_flow.yaml"), "--trace-out",
+     "/dev/stdout"],
+])
+def test_closed_stdout_exits_one_without_a_message(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen([sys.executable, "-m", "multcp.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    assert proc.stdout.readline()
+    proc.stdout.close()     # as `| head -1` does
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1 and err == b""

@@ -4,8 +4,9 @@ Each digest is the SHA-256 of bytes written by a seeded run: the
 `simulate` stdout for the demo scenario, the run and trace CSVs of a
 short dumbbell, the run CSV of the paper's 22-flow SACK run, and both
 sweeps on a tiny grid, to files and to stdout, the trace CSV of the
-paper's run, which is the input `multcp police` checks, and a
-declarations CSV, its other input.
+paper's run, which is the input `multcp police` checks, a declarations
+CSV, its other input, the `police` verdicts on that trace, and the
+`simulate` output of a scenario file that sets every key it can hold.
 A change to the simulator, the experiment loop or the CSV writers that
 moves any byte fails here.  Where two outputs must be the same bytes
 (stdout against -o, sweep stdout against the summary file) they share
@@ -16,6 +17,8 @@ import hashlib
 import io
 from pathlib import Path
 
+import pytest
+
 from multcp.cli import main
 from multcp.harness import (DumbbellParams, build_dumbbell, run_scenario,
                             write_run_csv)
@@ -23,6 +26,7 @@ from multcp.policing import (Declaration, read_trace_csv,
                              write_declarations_csv, write_trace_csv)
 
 DEMO = Path(__file__).resolve().parent.parent / "demos" / "two_flow.yaml"
+ALL_KEYS = Path(__file__).resolve().parent / "all_keys.yaml"
 
 SIMULATE_DEMO = "77b4926f3870acf01f2824cd63ab884a9c54d14c77e62cf899f0be454738c71d"
 RUN_CSV = "20627cadc727058d486bb518281c85cf86e1056cdd7a048772b59744e739612e"
@@ -34,6 +38,9 @@ GAIN_SUMMARY = "d88606447a6a1e39be9999128630091445a41dba5925799437c4b07be8507d37
 FAIRNESS_CSV = "512e1fa1d61bec0c81b57a188ae83990435d7bea4e40056b02d523feb5a67ac5"
 FAIRNESS_SUMMARY = "e4c6c314d6fa22c1a4276324d6e740e77c25da970103cfd16e4d7821105930ed"
 DECLARATIONS_CSV = "58cad71f22debb3f0ad749dca0362e4ab41e448d8005f9f41c986d7ae2f27e2e"
+ALL_KEYS_RUN_CSV = "4540e93e34cadefdbd1433003d1e25a60405b3584479ed1d998554d43d236aca"
+ALL_KEYS_TRACE_CSV = "db7b9b39bf27570640b7f3d52a773828af8bda319397255492760845ecf95267"
+POLICE_HEADLINE = "73707ac3d48035caf2f2a7f7385c981a8fe5a9c98edcbc6ceea044f46a770062"
 
 GAIN_ARGS = ["sweep", "gain", "--variant", "newreno", "--n-grid", "2",
              "--seeds", "2", "--flows", "2"]
@@ -78,15 +85,42 @@ def test_headline_sack_run_csv(tmp_path):
     assert sha256((tmp_path / "run.csv").read_bytes()) == HEADLINE_RUN_CSV
 
 
-def test_headline_sack_trace_csv_and_read_back(tmp_path):
-    # 138,087 records; the reader must give back exactly what was traced
+@pytest.fixture(scope="module")
+def headline_trace(tmp_path_factory):
+    """The paper's run with tracing on, and its trace CSV: one 70 s run
+    shared by every test that reads the headline trace."""
     result = run_scenario(build_dumbbell(22, variant="sack",
                                          weights=[4.0] + [1.0] * 21, seed=1,
                                          trace=True))
-    path = tmp_path / "trace.csv"
+    path = tmp_path_factory.mktemp("headline") / "trace.csv"
     write_trace_csv(result.trace, path)
+    return result, path
+
+
+def test_headline_sack_trace_csv_and_read_back(headline_trace):
+    # 138,087 records; the reader must give back exactly what was traced
+    result, path = headline_trace
     assert sha256(path.read_bytes()) == HEADLINE_TRACE_CSV
     assert read_trace_csv(path) == list(result.trace)
+
+
+def test_police_headline_trace_stdout(headline_trace, tmp_path, capsysbinary):
+    # every flow declared at its true weight over the whole run, then
+    # flow 0 declared at half its weight, which must read as a violation;
+    # two calls, since one flow's declarations may not overlap in a bill
+    _, trace = headline_trace
+    span = (0, 70_000_000_000)
+    honest = [Declaration(i, 4 if i == 0 else 1, *span) for i in range(22)]
+    out = b""
+    for name, decls in (("honest", honest),
+                        ("cheat", [Declaration(0, 2, *span)])):
+        path = tmp_path / f"{name}.csv"
+        write_declarations_csv(decls, path)
+        out += stdout_of(["police", "--trace", str(trace),
+                          "--declarations", str(path)], capsysbinary)
+    assert out.splitlines()[-2].endswith(b": violation observed_n=4.000 "
+                                         b"(method=decrease)")
+    assert sha256(out) == POLICE_HEADLINE
 
 
 def test_sweep_gain_files_and_stdout(tmp_path, capsysbinary):
@@ -114,3 +148,13 @@ def test_declarations_csv_file_and_stream(tmp_path):
     stream = io.StringIO(newline="")
     write_declarations_csv(decls, stream)
     assert sha256(stream.getvalue().encode()) == DECLARATIONS_CSV
+
+
+def test_simulate_all_keys_stdout_and_trace(tmp_path, capsysbinary):
+    # every key of every level set, tahoe to sack, numbers in both the
+    # float and the integer spelling and bandwidths as the string 5.0e6
+    trace = tmp_path / "trace.csv"
+    out = stdout_of(["simulate", str(ALL_KEYS), "--trace-out", str(trace)],
+                    capsysbinary)
+    assert sha256(out) == ALL_KEYS_RUN_CSV
+    assert sha256(trace.read_bytes()) == ALL_KEYS_TRACE_CSV

@@ -157,6 +157,21 @@ def test_scenario_from_dict_validation(mangle):
         scenario_from_dict(data)
 
 
+def test_null_keys_take_the_spec_defaults():
+    # null reads as absent at every level; a flow's variant defaults to sack
+    data = yaml.safe_load(yaml.safe_dump(GOOD_YAML))    # deep copy
+    del data["flows"][0]["variant"]
+    bare = scenario_from_dict(data)
+    assert bare.flows[0].variant == "sack"
+    data.update(warmup=None, seed=None, payload=None, red=None, trace=None)
+    data["links"][1].update(queue=None, limit=None, red=None)
+    data["links"][0]["red"].update(ewma_weight=None)
+    data["flows"][0].update(variant=None, stop=None, ssthresh=None)
+    assert scenario_from_dict(dict(data, warmup=1.0, seed=9)) == bare
+    assert scenario_from_dict(data) == dataclasses.replace(bare, warmup_s=0.0,
+                                                           seed=0)
+
+
 # -- CSV -------------------------------------------------------------------
 
 def test_run_csv_is_deterministic(tmp_path):
