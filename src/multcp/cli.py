@@ -207,12 +207,14 @@ def _load_network(path) -> Network:
             and all(isinstance(route, list) for route in data["routes"])):
         raise ValueError(f"{path}: need 'capacities' mapping and 'routes' "
                          "list of lists")
+    # the scenario loader's rules: link names are strings, a bool is no number
     try:
-        capacities = {str(k): float(v) for k, v in data["capacities"].items()}
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: capacities: {exc}") from exc
-    routes = tuple(tuple(str(x) for x in route) for route in data["routes"])
-    try:
+        capacities = {harness._str(k, "capacities: link name"):
+                      harness._float(v, f"capacities: {k}")
+                      for k, v in data["capacities"].items()}
+        routes = tuple(tuple(harness._str(x, f"routes[{i}][{j}]")
+                             for j, x in enumerate(route))
+                       for i, route in enumerate(data["routes"]))
         return Network(capacities=capacities, routes=routes)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -47,6 +47,16 @@ def ns_from_s(seconds: float) -> int:
     return int(round(seconds * NS_PER_SEC))
 
 
+def _check_ns(key: str, seconds: float) -> None:
+    """Reject a time that ns_from_s cannot convert.
+
+    Past about 1.8e299 s, seconds * NS_PER_SEC overflows to inf.
+    """
+    if not math.isfinite(seconds * NS_PER_SEC):
+        raise ValueError(f"{key} does not fit the nanosecond clock, "
+                         f"got {seconds!r}")
+
+
 def s_from_ns(t_ns: int) -> float:
     return t_ns / NS_PER_SEC
 
@@ -73,6 +83,7 @@ class LinkSpec:
         if not (math.isfinite(self.delay_s) and self.delay_s >= 0):
             raise ValueError(f"link {self.name!r}: delay must be finite "
                              f"and non-negative, got {self.delay_s!r}")
+        _check_ns(f"link {self.name!r}: delay", self.delay_s)
         if self.limit < 1:
             raise ValueError(f"link {self.name!r}: limit must be at least 1, "
                              f"got {self.limit!r}")
@@ -107,6 +118,11 @@ class FlowSpec:
                                             and self.stop_s > self.start_s):
             raise ValueError(f"stop must be finite and after start "
                              f"({self.start_s!r}), got {self.stop_s!r}")
+        # the start time is drawn from [start, start + jitter]
+        _check_ns("start", self.start_s)
+        _check_ns("start + jitter", self.start_s + self.start_jitter_s)
+        if self.stop_s is not None:
+            _check_ns("stop", self.stop_s)
 
 
 @dataclass(frozen=True)
@@ -137,6 +153,8 @@ class Scenario:
             raise ValueError(f"duration must be finite, got {self.duration_s!r}")
         if not self.warmup_s >= 0:
             raise ValueError(f"warmup must be non-negative, got {self.warmup_s!r}")
+        _check_ns("duration", self.duration_s)
+        _check_ns("warmup", self.warmup_s)
 
 
 class Packet:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import statistics
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 
@@ -322,17 +323,25 @@ def write_fairness_summary_csv(summaries, target) -> None:
               [(s.n_weight, s.mean, s.std, s.seeds) for s in summaries])
 
 
+@contextmanager
+def _output(target):
+    """Yield `target` if it is an open text stream, else the path opened."""
+    if hasattr(target, "write"):
+        yield target
+        return
+    try:
+        with open(target, "w", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise OSError(f"cannot write results to {target}: {exc}") from exc
+
+
 def write_csv(target, header, rows) -> None:
     """Write a header line and rows to a path or an open text stream."""
-    if not hasattr(target, "write"):
-        try:
-            with open(target, "w", newline="") as fh:
-                return write_csv(fh, header, rows)
-        except OSError as exc:
-            raise OSError(f"cannot write results to {target}: {exc}") from exc
-    writer = csv.writer(target)
-    writer.writerow(header)
-    writer.writerows(rows)
+    with _output(target) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def read_csv(path, header, what: str, parse) -> list:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .engine import NS_PER_SEC
-from .harness import read_csv, write_csv
+from .harness import _output, read_csv, write_csv
 from .tcp import (ACK_RECEIVED, DATA_SENT, LOSS_DETECTED, TIMEOUT,
                   TRACE_EVENTS, TraceRecord)
 
@@ -292,14 +292,53 @@ def bill(declarations, period: tuple[int, int]) -> float:
 
 # -- file formats ----------------------------------------------------------
 
-def write_trace_csv(records, target) -> None:
-    """Write trace records to a path or an open text stream."""
-    # csv writes None as an empty field and a float as its repr
-    write_csv(target, TRACE_COLUMNS, map(attrgetter(*TRACE_COLUMNS), records))
-
-
-# parsed event names map onto the sender's own strings, one object per kind
+# the events a trace CSV may hold; parsed names map onto the sender's own
+# strings, one object per kind
 _EVENT_NAMES = {name: name for name in TRACE_EVENTS}
+
+
+def _unknown_event(event) -> ValueError:
+    return ValueError(f"unknown event {event!r}, expected one of "
+                      f"{', '.join(TRACE_EVENTS)}")
+
+
+def write_trace_csv(records, target) -> None:
+    """Write trace records to a path or an open text stream.
+
+    The bytes are those csv.writer writes: CRLF line ends, None as an
+    empty field and a float as its repr.  The events go out unquoted, so
+    an event outside TRACE_EVENTS raises ValueError.
+    """
+    with _output(target) as fh:
+        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+        fh.writelines(_trace_lines(records))
+
+
+_TRACE_FIELDS = attrgetter(*TRACE_COLUMNS)
+
+
+def _trace_lines(records):
+    """Each record's CSV line, reusing a flow's last cwnd text.
+
+    A data-sent record carries one float object twice, and a record's
+    cwnd_before is usually its flow's last cwnd_after object, so one
+    repr per new object covers most cwnd fields.
+    """
+    last_after: dict[int, tuple[float | None, str]] = {}   # flow -> cwnd, text
+    for time_ns, flow_id, event, before, after, seq, ack in map(_TRACE_FIELDS,
+                                                                 records):
+        if event not in _EVENT_NAMES:
+            raise _unknown_event(event)
+        prev, before_text = last_after.get(flow_id, (None, ""))
+        if before is not prev:
+            before_text = "" if before is None else repr(before)
+        if after is before:
+            after_text = before_text
+        else:
+            after_text = "" if after is None else repr(after)
+        last_after[flow_id] = (after, after_text)
+        yield (f"{time_ns},{flow_id},{event},{before_text},{after_text},"
+               f"{'' if seq is None else seq},{'' if ack is None else ack}\r\n")
 
 
 def read_trace_csv(path) -> list[TraceRecord]:
@@ -316,31 +355,40 @@ def read_trace_csv(path) -> list[TraceRecord]:
 def _trace_parser():
     """A row parser for read_trace_csv that shares values whose text repeats.
 
-    It keeps the last time and each flow's last cwnd_after, never a table
-    keyed by value; a shared value was checked when it was first parsed.
+    It keeps the last time and, per flow text, the flow id and the last
+    cwnd_after, never a table keyed by value; a shared value was checked
+    when it was first parsed.  Faults are reported in the order event,
+    cwnd_before, cwnd_after, finiteness, time, flow, seq, ack.
     """
     last_time: tuple[str | None, int] = (None, 0)
-    last_after: dict[str, tuple[str, float | None]] = {}   # flow text -> cwnd
+    flows: dict[str, tuple[int, str, float | None]] = {}  # text -> id, cwnd
 
     def parse(row: list[str]) -> TraceRecord:
         nonlocal last_time
-        time_ns, flow_id, event, before_text, after_text, seq, ack = row
+        time_ns, flow_text, event, before_text, after_text, seq, ack = row
         kind = _EVENT_NAMES.get(event)
         if kind is None:
-            raise ValueError(f"unknown event {event!r}, expected one of "
-                             f"{', '.join(TRACE_EVENTS)}")
-        prev_text, before = last_after.get(flow_id, (None, None))
-        if before_text != prev_text:
+            raise _unknown_event(event)
+        flow = flows.get(flow_text)
+        fresh_before = flow is None or before_text != flow[1]
+        if fresh_before:
             before = float(before_text) if before_text else None
-        after = before if after_text == before_text else (
-            float(after_text) if after_text else None)
-        if (before is not None and not math.isfinite(before)
-                or after is not None and not math.isfinite(after)):
+        else:
+            before = flow[2]
+        fresh_after = after_text != before_text
+        if fresh_after:
+            after = float(after_text) if after_text else None
+        else:
+            after = before
+        if (fresh_before and before is not None and not math.isfinite(before)
+                or fresh_after and after is not None
+                and not math.isfinite(after)):
             raise ValueError(f"non-finite cwnd {row[3:5]!r}")
         if time_ns != last_time[0]:
             last_time = (time_ns, int(time_ns))
-        last_after[flow_id] = (after_text, after)
-        return TraceRecord(last_time[1], int(flow_id), kind, before, after,
+        flow_id = int(flow_text) if flow is None else flow[0]
+        flows[flow_text] = (flow_id, after_text, after)
+        return TraceRecord(last_time[1], flow_id, kind, before, after,
                            int(seq) if seq else None, int(ack) if ack else None)
 
     return parse

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 VARIANTS = ("tahoe", "reno", "newreno", "sack")
 
@@ -106,12 +106,15 @@ def on_timeout(state: CongestionState) -> None:
     state.cwnd = 1.0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TraceRecord:
     """One line of a connection trace, as written to trace CSV files.
 
     Slotted: a long traced run holds one record per ack and per sent
-    segment, so records carry no per-instance __dict__.
+    segment, so records carry no per-instance __dict__.  For the same
+    reason __init__ sets the slots through their own descriptors, about
+    twice as fast as the frozen dataclass __init__, which makes one
+    object.__setattr__ call per field.
     """
 
     time_ns: int
@@ -121,6 +124,22 @@ class TraceRecord:
     cwnd_after: float | None
     seq: int | None
     ack: int | None
+
+    def __init__(self, time_ns: int, flow_id: int, event: str,
+                 cwnd_before: float | None, cwnd_after: float | None,
+                 seq: int | None, ack: int | None) -> None:
+        _set_time_ns(self, time_ns)
+        _set_flow_id(self, flow_id)
+        _set_event(self, event)
+        _set_cwnd_before(self, cwnd_before)
+        _set_cwnd_after(self, cwnd_after)
+        _set_seq(self, seq)
+        _set_ack(self, ack)
+
+
+(_set_time_ns, _set_flow_id, _set_event, _set_cwnd_before, _set_cwnd_after,
+ _set_seq, _set_ack) = (getattr(TraceRecord, f.name).__set__
+                        for f in fields(TraceRecord))
 
 
 class _IntervalSet:

@@ -96,6 +96,14 @@ def test_simulate_stdout_matches_output_file(tmp_path, capsysbinary):
     ("top", "trace", "false", "trace: expected true or false"),
     ("top", "trace", 1, "trace: expected true or false"),
     ("flows", "stop", float("inf"), "stop"),
+    # finite, but past what a nanosecond count in a float can hold
+    ("flows", "start", 1.0e300, "start does not fit the nanosecond clock"),
+    ("links", "delay", 1.0e300,
+     "link 'bn': delay does not fit the nanosecond clock"),
+    ("flows", "jitter", 1.0e300,
+     "start + jitter does not fit the nanosecond clock"),
+    ("flows", "stop", 1.0e300, "stop does not fit the nanosecond clock"),
+    ("top", "duration", 1.0e300, "duration does not fit the nanosecond clock"),
 ])
 def test_simulate_rejects_invalid_values(tmp_path, capsys, where, key, value,
                                          message):
@@ -282,6 +290,16 @@ def test_fairness_check_rate_count_mismatch(tmp_path, capsys):
      "at least one connection"),
     ("capacities: {a: 1}\nroutes: [[x]]\n", ["--allocate", "maxmin"],
      "unknown link 'x'"),
+    # no silent coercions: true is no capacity, 5 no link name
+    ("capacities: {a: true, b: 2.0}\nroutes: [[a], [b]]\n",
+     ["--allocate", "maxmin"], "capacities: a: expected a number, got True"),
+    ("capacities: {a: 1.0, 5: 2.0}\nroutes: [[a], [a]]\n",
+     ["--allocate", "maxmin"],
+     "capacities: link name: expected a string, got 5"),
+    ("capacities: {a: 1.0, b: 2.0}\nroutes: [[a], [b, 5]]\n",
+     ["--allocate", "wpf"], "routes[1][1]: expected a string, got 5"),
+    ("capacities: {a: 1.0}\nroutes: [[a], [null]]\n", ["--rates", "1,1"],
+     "routes[1][0]: expected a string, got None"),
 ])
 def test_fairness_check_rejects_bad_network(tmp_path, capsys, text, args,
                                             message):

@@ -7,6 +7,8 @@ sweeps on a tiny grid, to files and to stdout, the trace CSV of the
 paper's run, which is the input `multcp police` checks, a declarations
 CSV, its other input, the `police` verdicts on that trace, and the
 `simulate` output of a scenario file that sets every key it can hold.
+The short dumbbell is pinned for every variant: sack, tahoe, reno and
+newreno.
 A change to the simulator, the experiment loop or the CSV writers that
 moves any byte fails here.  Where two outputs must be the same bytes
 (stdout against -o, sweep stdout against the summary file) they share
@@ -41,6 +43,15 @@ DECLARATIONS_CSV = "58cad71f22debb3f0ad749dca0362e4ab41e448d8005f9f41c986d7ae2f2
 ALL_KEYS_RUN_CSV = "4540e93e34cadefdbd1433003d1e25a60405b3584479ed1d998554d43d236aca"
 ALL_KEYS_TRACE_CSV = "db7b9b39bf27570640b7f3d52a773828af8bda319397255492760845ecf95267"
 POLICE_HEADLINE = "73707ac3d48035caf2f2a7f7385c981a8fe5a9c98edcbc6ceea044f46a770062"
+# the short dumbbell's run and trace CSVs for the other variants
+VARIANT_CSVS = {
+    "tahoe": ("9cffb38246326cde57e40e86723ec0802f0e322c538bcf959f90a6e2dc8ce744",
+              "99365c52b223cbbfb84bb578ea324eed56a88509e0054e748abf9c66bca5b287"),
+    "reno": ("c7eaffa36219b75b014eb4b50d3bf11a70791a551c2513984dce6af7b90c502b",
+             "91e94fe14d4b2c1e2c1825d08c9353bb6643f69be58142e4d8451c73f4e8bc6f"),
+    "newreno": ("64f98b798169e39247da0bbaa6cf688565c7b206ef1f2b998b767f3ac897b124",
+                "f81ef74a9b08945725eed7e177fa8f1410417c3a7bd56636ff32ee68a5522816"),
+}
 
 GAIN_ARGS = ["sweep", "gain", "--variant", "newreno", "--n-grid", "2",
              "--seeds", "2", "--flows", "2"]
@@ -74,6 +85,19 @@ def test_short_dumbbell_run_and_trace_csv(tmp_path):
     write_trace_csv(result.trace, tmp_path / "trace.csv")
     assert sha256((tmp_path / "run.csv").read_bytes()) == RUN_CSV
     assert sha256((tmp_path / "trace.csv").read_bytes()) == TRACE_CSV
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANT_CSVS))
+def test_short_dumbbell_run_and_trace_csv_per_variant(variant, tmp_path):
+    params = DumbbellParams(duration_s=12.0, warmup_s=2.0)
+    result = run_scenario(build_dumbbell(4, params, variant=variant,
+                                         weights=[3.0, 1.0, 1.0, 1.0],
+                                         seed=7, trace=True))
+    write_run_csv(result, tmp_path / "run.csv")
+    write_trace_csv(result.trace, tmp_path / "trace.csv")
+    run_digest, trace_digest = VARIANT_CSVS[variant]
+    assert sha256((tmp_path / "run.csv").read_bytes()) == run_digest
+    assert sha256((tmp_path / "trace.csv").read_bytes()) == trace_digest
 
 
 def test_headline_sack_run_csv(tmp_path):

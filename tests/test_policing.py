@@ -1,11 +1,14 @@
 """Weight estimation from traces, declaration checking, billing."""
 
 import csv
+import io
 import tracemalloc
+from operator import attrgetter
 
 import pytest
 
-from multcp.harness import DumbbellParams, build_dumbbell, run_scenario
+from multcp.harness import (DumbbellParams, build_dumbbell, run_scenario,
+                            write_csv)
 from multcp.policing import (DECLARATION_COLUMNS, TRACE_COLUMNS, Declaration,
                              analyze_trace, bill,
                              estimate_n_from_decrease,
@@ -217,13 +220,20 @@ def test_read_back_records_share_one_event_string_per_kind(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def dumbbell_trace(tmp_path_factory):
-    """The trace CSV of a traced 4-flow, 12 s dumbbell, flow 0 at N=4."""
+def dumbbell_run(tmp_path_factory):
+    """A traced 4-flow, 12 s dumbbell, flow 0 at N=4: records and trace CSV."""
     scenario = build_dumbbell(4, DumbbellParams(duration_s=12.0, warmup_s=2.0),
                               weights=[4.0, 1.0, 1.0, 1.0], seed=1, trace=True)
     path = tmp_path_factory.mktemp("trace") / "trace.csv"
-    write_trace_csv(run_scenario(scenario).trace, path)
-    return path
+    records = run_scenario(scenario).trace
+    write_trace_csv(records, path)
+    return records, path
+
+
+@pytest.fixture(scope="module")
+def dumbbell_trace(dumbbell_run):
+    """The trace CSV of the traced 4-flow dumbbell."""
+    return dumbbell_run[1]
 
 
 def read_rows(path):
@@ -307,6 +317,89 @@ def test_csv_readers_reject_malformed(tmp_path):
             read_trace_csv(bad)
         message = str(info.value)
         assert message.startswith(f"{bad}, line 3: ") and problem in message
+
+
+@pytest.mark.parametrize("row, problem", [
+    # a bad cwnd_after text is reported before a non-finite cwnd_before
+    ("2,0,loss-detected,nan,abc,,", "could not convert string to float: 'abc'"),
+    # then the time, the flow, seq and ack, in column order
+    ("2y,x,data-sent,1.0,1.0,5,", "invalid literal for int() with base 10: '2y'"),
+    ("2,x,data-sent,1.0,1.0,zz,", "invalid literal for int() with base 10: 'x'"),
+    ("2,x,ack-received,1.0,2.0,,yy",
+     "invalid literal for int() with base 10: 'x'"),
+    ("2,0,data-sent,1.0,1.0,zz,qq",
+     "invalid literal for int() with base 10: 'zz'"),
+    # the event and the cwnds come before the integer columns
+    ("2y,0,bogus,1.0,1.0,5,", "unknown event 'bogus', expected one of "
+     "data-sent, ack-received, loss-detected, timeout"),
+    ("2,0,bogus,abc,nan,,", "unknown event 'bogus', expected one of "
+     "data-sent, ack-received, loss-detected, timeout"),
+    ("2y,0,data-sent,one,1.0,5,", "could not convert string to float: 'one'"),
+    ("2y,0,loss-detected,inf,2.0,,", "non-finite cwnd ['inf', '2.0']"),
+    ("2,x,loss-detected,4.0,nan,,", "non-finite cwnd ['4.0', 'nan']"),
+    # a cwnd_before shared with line 2's cwnd_after, then a bad seq
+    ("2,0,loss-detected,1.0,nan,zz,", "non-finite cwnd ['1.0', 'nan']"),
+    ("2,1,data-sent,1.0,1.0,5,x", "invalid literal for int() with base 10: 'x'"),
+    ("2,x,bogus,1.0,1.0,5", "expected 7 fields, got 6")])
+def test_trace_reader_reports_the_first_of_two_faults(tmp_path, row, problem):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(",".join(TRACE_COLUMNS)
+                   + "\n1,0,data-sent,1.0,1.0,4,\n" + row + "\n")
+    with pytest.raises(ValueError) as info:
+        read_trace_csv(bad)
+    assert str(info.value) == f"{bad}, line 3: {problem}"
+
+
+def reference_trace_csv(records) -> str:
+    """The trace CSV as csv.writer writes it: None empty, floats as repr."""
+    out = io.StringIO(newline="")
+    write_csv(out, TRACE_COLUMNS, map(attrgetter(*TRACE_COLUMNS), records))
+    return out.getvalue()
+
+
+def written_trace_csv(records) -> str:
+    out = io.StringIO(newline="")
+    write_trace_csv(records, out)
+    return out.getvalue()
+
+
+def test_trace_writer_matches_csv_writer_on_edge_values():
+    a, b = float("1.5"), float("1.5")
+    assert a is not b
+    records = [
+        rec(1, "data-sent", 0, 1.0, 1.0, seq=0),
+        rec(1, "data-sent", 1, seq=0),                  # wire-only rows
+        rec(2, "ack-received", 1, ack=1),
+        rec(3, "ack-received", 0, 1.0, 3.0, ack=1),
+        rec(3, "data-sent", 0, 1e-05, 1e-05, seq=1),
+        rec(4, "loss-detected", 1, 1.5e+16, 1.0e16),
+        rec(5, "ack-received", 0, 1e-05, a, ack=2),     # interleaved flows
+        rec(5, "data-sent", 0, b, b, seq=2),            # equal, not the same
+        rec(6, "data-sent", 1, 1.0e16, 1.0e16, seq=1),
+        rec(7, "timeout", 0, a, 1.0),
+        rec(8, "loss-detected", 0, 1.0, None),
+        rec(9, "ack-received", 0, None, 2.0, ack=3),
+        rec(10, "data-sent", 2, 4, 4, seq=None, ack=None),
+        rec(0, "timeout", 0, 0.1 + 0.2, 1.0, seq=0, ack=0)]
+    text = written_trace_csv(records)
+    assert text == reference_trace_csv(records)
+    assert written_trace_csv([]) == reference_trace_csv([])
+
+
+def test_trace_writer_matches_csv_writer_on_a_traced_run(dumbbell_run):
+    # the sender's own records, and the read-back ones that share values
+    records, path = dumbbell_run
+    text = reference_trace_csv(records)
+    assert written_trace_csv(records) == text
+    assert written_trace_csv(read_trace_csv(path)) == text
+    assert path.read_bytes() == text.encode()
+
+
+@pytest.mark.parametrize("event", ["ack", "data-sent,1", 'a"b', ""])
+def test_trace_writer_rejects_an_unknown_event(tmp_path, event):
+    records = [rec(1, "data-sent", seq=0), rec(2, event)]
+    with pytest.raises(ValueError, match="unknown event"):
+        write_trace_csv(records, tmp_path / "trace.csv")
 
 
 def test_declarations_reject_non_finite_weight_naming_file_and_line(tmp_path):
