@@ -57,6 +57,11 @@ def _check_ns(key: str, seconds: float) -> None:
                          f"got {seconds!r}")
 
 
+def _ser_ns(payload_bytes: int, bandwidth_bps: float) -> int:
+    """Serialisation time of one payload; OverflowError past the float range."""
+    return int(round(payload_bytes * 8 * NS_PER_SEC / bandwidth_bps))
+
+
 def s_from_ns(t_ns: int) -> float:
     return t_ns / NS_PER_SEC
 
@@ -104,6 +109,8 @@ class FlowSpec:
     advertised_bytes: int | None = None     # receive-buffer cap
 
     def __post_init__(self) -> None:
+        if not self.route:
+            raise ValueError("route must name at least one link")
         for key, value, least in (("n", self.n_weight, 1),
                                   ("start", self.start_s, 0),
                                   ("jitter", self.start_jitter_s, 0)):
@@ -143,6 +150,12 @@ class Scenario:
         for name in names:
             if names.count(name) > 1:
                 raise ValueError(f"duplicate link name {name!r}")
+        for link in self.links:
+            try:
+                _ser_ns(self.payload_bytes, link.bandwidth_bps)
+            except OverflowError:
+                raise ValueError(f"link {link.name!r}: one payload's time on the "
+                                 "wire does not fit the nanosecond clock") from None
         for i, flow in enumerate(self.flows):
             if flow.advertised_bytes is not None and \
                     not flow.advertised_bytes >= self.payload_bytes:
@@ -158,50 +171,45 @@ class Scenario:
 
 
 class Packet:
-    __slots__ = ("flow_id", "seq", "size", "hop")
+    """One data segment; every packet of a run carries the same payload."""
 
-    def __init__(self, flow_id: int, seq: int, size: int) -> None:
+    __slots__ = ("flow_id", "seq", "hop")
+
+    def __init__(self, flow_id: int, seq: int) -> None:
         self.flow_id = flow_id
         self.seq = seq
-        self.size = size
         self.hop = 0    # index of the next link on the route
 
 
 class _Link:
-    """Name, rate and propagation delay, common to both link kinds."""
+    """Name, rate, propagation delay and per-packet cost of either link kind."""
 
-    def __init__(self, spec: LinkSpec) -> None:
+    def __init__(self, spec: LinkSpec, payload_bytes: int) -> None:
         self.name = spec.name
         self.bandwidth_bps = float(spec.bandwidth_bps)
         self.delay_ns = ns_from_s(spec.delay_s)
-        self._ser_ns: dict[int, int] = {}    # packet size -> serialisation time
-
-    def ser_ns(self, size_bytes: int) -> int:
-        ser = self._ser_ns.get(size_bytes)
-        if ser is None:
-            ser = int(round(size_bytes * 8 * NS_PER_SEC / self.bandwidth_bps))
-            self._ser_ns[size_bytes] = ser
-        return ser
+        self.packet_bits = payload_bytes * 8
+        self.ser_ns = _ser_ns(payload_bytes, self.bandwidth_bps)
 
 
 class FifoLink(_Link):
     """Drop-tail link with analytic FIFO service (one event per packet)."""
 
-    def __init__(self, spec: LinkSpec) -> None:
-        super().__init__(spec)
+    def __init__(self, spec: LinkSpec, payload_bytes: int) -> None:
+        super().__init__(spec, payload_bytes)
         self.limit = spec.limit
         self.busy_until_ns = 0
         self.bits_admitted = 0
         self.drops = 0
 
     def offer(self, sim: "Simulation", pkt: Packet, now_ns: int) -> bool:
-        ser = self.ser_ns(pkt.size)
+        ser = self.ser_ns
         if self.busy_until_ns - now_ns > self.limit * ser:
             self.drops += 1
             return False
         start = max(now_ns, self.busy_until_ns)
         self.busy_until_ns = start + ser
-        self.bits_admitted += pkt.size * 8
+        self.bits_admitted += self.packet_bits
         sim.schedule(self.busy_until_ns + self.delay_ns, _ARRIVAL, pkt)
         return True
 
@@ -214,18 +222,15 @@ class FifoLink(_Link):
 class RedLink(_Link):
     """Link whose queue is RED-managed; service is event-driven."""
 
-    def __init__(self, spec: LinkSpec, params: RedParams, rng: random.Random,
-                 typical_packet_bytes: int) -> None:
-        super().__init__(spec)
-        self.queue = RedQueue(params, rng,
-                              idle_pkt_time_ns=self.ser_ns(typical_packet_bytes))
+    def __init__(self, spec: LinkSpec, payload_bytes: int, params: RedParams,
+                 rng: random.Random) -> None:
+        super().__init__(spec, payload_bytes)
+        self.queue = RedQueue(params, rng, idle_pkt_time_ns=self.ser_ns)
         self.in_service: Packet | None = None
         self.bits_forwarded = 0
-        self.drops = 0
 
     def offer(self, sim: "Simulation", pkt: Packet, now_ns: int) -> bool:
         if not self.queue.enqueue(pkt, now_ns):
-            self.drops += 1
             return False
         if self.in_service is None:
             self._begin_service(sim, now_ns)
@@ -236,12 +241,12 @@ class RedLink(_Link):
         if pkt is None:
             return
         self.in_service = pkt
-        sim.schedule(now_ns + self.ser_ns(pkt.size), _TX_DONE, self)
+        sim.schedule(now_ns + self.ser_ns, _TX_DONE, self)
 
     def on_tx_done(self, sim: "Simulation", now_ns: int) -> None:
         pkt = self.in_service
         self.in_service = None
-        self.bits_forwarded += pkt.size * 8
+        self.bits_forwarded += self.packet_bits
         sim.schedule(now_ns + self.delay_ns, _ARRIVAL, pkt)
         self._begin_service(sim, now_ns)
 
@@ -259,7 +264,7 @@ class Flow:
         self.route = route
         self.payload_bytes = payload_bytes
         self.reverse_delay_ns = sum(l.delay_ns for l in route)
-        self.base_rtt_ns = sum(l.ser_ns(payload_bytes) + l.delay_ns for l in route) \
+        self.base_rtt_ns = sum(l.ser_ns + l.delay_ns for l in route) \
             + self.reverse_delay_ns
         bulk = None
         if spec.bulk_bytes is not None:
@@ -282,7 +287,6 @@ class Simulation:
     """Event loop over a Scenario.  run_until() may be called repeatedly."""
 
     def __init__(self, scenario: Scenario) -> None:
-        self.scenario = scenario
         self.rng = random.Random(scenario.seed)
         self.clock_ns = 0
         self._heap: list = []
@@ -293,10 +297,10 @@ class Simulation:
         for spec in scenario.links:
             if spec.queue == "red":
                 params = spec.red if spec.red is not None else scenario.red
-                self.links[spec.name] = RedLink(spec, params, self.rng,
-                                                scenario.payload_bytes)
+                self.links[spec.name] = RedLink(spec, scenario.payload_bytes,
+                                                params, self.rng)
             elif spec.queue == "fifo":
-                self.links[spec.name] = FifoLink(spec)
+                self.links[spec.name] = FifoLink(spec, scenario.payload_bytes)
             else:
                 raise SimulationError(f"unknown queue type {spec.queue!r}")
 
@@ -337,15 +341,16 @@ class Simulation:
             if kind == _ARRIVAL:
                 self._on_arrival(payload, time_ns)
             elif kind == _ACK_ARRIVAL:
-                self._on_ack_arrival(payload, time_ns)
+                flow_id, ack, blocks = payload
+                flow = self.flows[flow_id]
+                self._send(flow, flow.sender.on_ack(ack, blocks, time_ns), time_ns)
             elif kind == _TX_DONE:
                 payload.on_tx_done(self, time_ns)
             elif kind == _TIMER:
                 self._on_timer(payload, time_ns)
             elif kind == _FLOW_START:
                 flow = self.flows[payload]
-                self._dispatch_sends(flow, flow.sender.start(time_ns), time_ns)
-                self._sync_timer(flow)
+                self._send(flow, flow.sender.start(time_ns), time_ns)
             elif kind == _FLOW_STOP:
                 self.flows[payload].sender.active = False
         if end_ns > self.clock_ns:
@@ -365,28 +370,17 @@ class Simulation:
         self.schedule(now_ns + flow.reverse_delay_ns, _ACK_ARRIVAL,
                       (pkt.flow_id, ack, tuple(blocks)))
 
-    def _on_ack_arrival(self, payload, now_ns: int) -> None:
-        flow_id, ack, blocks = payload
-        flow = self.flows[flow_id]
-        sends = flow.sender.on_ack(ack, blocks, now_ns)
-        self._dispatch_sends(flow, sends, now_ns)
-        self._sync_timer(flow)
-
     def _on_timer(self, flow: Flow, now_ns: int) -> None:
         if now_ns != flow._timer_event_ns:
             return      # stale: superseded by an earlier deadline
         flow._timer_event_ns = None
-        sends = flow.sender.on_timer_check(now_ns)
-        self._dispatch_sends(flow, sends, now_ns)
-        self._sync_timer(flow)
+        self._send(flow, flow.sender.on_timer_check(now_ns), now_ns)
 
-    def _dispatch_sends(self, flow: Flow, sends: list[int], now_ns: int) -> None:
+    def _send(self, flow: Flow, sends: list[int], now_ns: int) -> None:
+        """Offer the sender's segments to the first link, then arm its timer."""
         for seq in sends:
-            pkt = Packet(flow.flow_id, seq, flow.payload_bytes)
-            if not flow.route[0].offer(self, pkt, now_ns):
+            if not flow.route[0].offer(self, Packet(flow.flow_id, seq), now_ns):
                 flow.drops += 1
-
-    def _sync_timer(self, flow: Flow) -> None:
         deadline = flow.sender.timer_deadline_ns
         if deadline is not None and (flow._timer_event_ns is None
                                      or deadline < flow._timer_event_ns):

@@ -143,10 +143,10 @@ class TraceRecord:
 
 
 class _IntervalSet:
-    """Disjoint integer half-open intervals with O(log n) point updates.
+    """Disjoint integer half-open intervals with O(log n) lookups.
 
     Used for received-but-not-yet-acked runs on the receiver and for the
-    sack scoreboard on the sender; both only ever add points, query
+    sack scoreboard on the sender; both only ever add ranges, query
     membership, and prune from the left.
     """
 
@@ -163,27 +163,6 @@ class _IntervalSet:
     def __contains__(self, x: int) -> bool:
         i = bisect_right(self.starts, x)
         return i > 0 and x < self.ends[i - 1]
-
-    def add(self, x: int) -> bool:
-        """Insert one integer; returns False if it was already covered."""
-        i = bisect_right(self.starts, x)
-        if i > 0 and x < self.ends[i - 1]:
-            return False
-        touches_prev = i > 0 and self.ends[i - 1] == x
-        touches_next = i < len(self.starts) and self.starts[i] == x + 1
-        if touches_prev and touches_next:
-            self.ends[i - 1] = self.ends[i]
-            del self.starts[i]
-            del self.ends[i]
-        elif touches_prev:
-            self.ends[i - 1] = x + 1
-        elif touches_next:
-            self.starts[i] = x
-        else:
-            self.starts.insert(i, x)
-            self.ends.insert(i, x + 1)
-        self.total += 1
-        return True
 
     def add_range(self, a: int, b: int) -> list[tuple[int, int]]:
         """Insert [a, b); returns the sub-ranges that were actually new."""
@@ -269,7 +248,7 @@ class TcpReceiver:
                 self.pending.prune_below(self.cum_ack)
         else:
             self.segments_received += 1
-            self.pending.add(seq)
+            self.pending.add_range(seq, seq + 1)
 
         blocks: list[tuple[int, int]] = []
         if self.sack_enabled and len(self.pending):
@@ -441,11 +420,9 @@ class TcpSender:
 
         if self._sack:
             self.update_scoreboard()
-            if (not self.in_recovery and not self.lost
-                    and self.cum_ack < self.next_seq and self.sacked.total
+            if (not self.in_recovery and not self.lost and self.sacked.total
                     and self.cum_ack not in self.retx_marked
-                    and (self.next_seq - self.cum_ack
-                         - self.sacked.count_below(self.next_seq)) == 1):
+                    and self.in_flight() == 1):
                 # early retransmit: every outstanding segment except the head
                 # hole is sacked, so no further dupacks are coming
                 self.lost.add(self.cum_ack)

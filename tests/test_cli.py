@@ -104,6 +104,12 @@ def test_simulate_stdout_matches_output_file(tmp_path, capsysbinary):
      "start + jitter does not fit the nanosecond clock"),
     ("flows", "stop", 1.0e300, "stop does not fit the nanosecond clock"),
     ("top", "duration", 1.0e300, "duration does not fit the nanosecond clock"),
+    # a positive bandwidth or payload whose serialisation time overflows a float
+    ("links", "bandwidth", 1.0e-300,
+     "link 'bn': one payload's time on the wire does not fit the nanosecond clock"),
+    pytest.param("top", "payload", 10**400,
+                 "link 'bn': one payload's time on the wire does not fit the "
+                 "nanosecond clock", id="top-payload-10**400-nanosecond clock"),
 ])
 def test_simulate_rejects_invalid_values(tmp_path, capsys, where, key, value,
                                          message):

@@ -15,7 +15,11 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # SHA-256 of the stdout of each demo whose seeded output is pinned
 PINNED = {"buffer_split.py":
-          "9d00adf725fe68c8d4bcfb4def05d89e1daf676e0649b75b6e52b4d35784139a"}
+          "9d00adf725fe68c8d4bcfb4def05d89e1daf676e0649b75b6e52b4d35784139a",
+          "model_vs_oracle.py":
+          "79396dc55c0efc7e4fe97f3ac0ebde03debc9f0941802e01186340e6fe1800f4",
+          "police_a_flow.py":
+          "d2f8139729d0361ee7be4aa36a52d6aa51168a58621dc9a89c24deca03892014"}
 
 
 def run_demo(name: str) -> str:
@@ -30,9 +34,11 @@ def run_demo(name: str) -> str:
 
 
 def test_police_a_flow_catches_the_understated_weight():
-    lines = run_demo("police_a_flow.py").splitlines()
+    out = run_demo("police_a_flow.py")
+    lines = out.splitlines()
     assert "declared N=4: compliant" in lines
     assert "declared N=2: violation" in lines
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED["police_a_flow.py"]
 
 
 @pytest.mark.parametrize("name", ["buffer_split.py", "model_vs_oracle.py"])

@@ -35,7 +35,7 @@ def test_time_conversions_round_trip():
 
 
 def test_fifo_link_serialises_back_to_back():
-    link = FifoLink(LinkSpec(name="l", bandwidth_bps=8e6, delay_s=0.001))
+    link = FifoLink(LinkSpec(name="l", bandwidth_bps=8e6, delay_s=0.001), 1000)
 
     class Sink:
         def __init__(self):
@@ -45,21 +45,21 @@ def test_fifo_link_serialises_back_to_back():
             self.events.append(t)
 
     sink = Sink()
-    link.offer(sink, Packet(0, 0, 1000), 0)
-    link.offer(sink, Packet(0, 1, 1000), 0)
+    link.offer(sink, Packet(0, 0), 0)
+    link.offer(sink, Packet(0, 1), 0)
     # 1000 B at 8 Mb/s = 1 ms each, plus 1 ms propagation
     assert sink.events == [2_000_000, 3_000_000]
 
 
 def test_fifo_link_tail_drops_past_limit():
     link = FifoLink(LinkSpec(name="l", bandwidth_bps=8e6, delay_s=0.0,
-                             limit=2))
+                             limit=2), 1000)
 
     class Sink:
         def schedule(self, *a):
             pass
 
-    accepted = [link.offer(Sink(), Packet(0, i, 1000), 0) for i in range(5)]
+    accepted = [link.offer(Sink(), Packet(0, i), 0) for i in range(5)]
     assert accepted == [True, True, True, False, False]
     assert link.drops == 2
 
@@ -82,6 +82,12 @@ def test_route_over_unknown_link_rejected():
         Simulation(bad)
 
 
+def test_empty_route_rejected():
+    # run_until would fail at route[0]
+    with pytest.raises(ValueError, match="route must name at least one link"):
+        FlowSpec("reno", ())
+
+
 def test_scheduling_into_the_past_rejected():
     sim = Simulation(two_flow_scenario())
     sim.run_until(1.0)
@@ -93,8 +99,8 @@ def test_base_rtt_accounts_for_both_directions():
     sim = Simulation(two_flow_scenario())
     f = sim.flows[0]
     # forward: serialisation + propagation per hop; reverse: propagation only
-    expect = (f.route[0].ser_ns(1000) + f.route[0].delay_ns
-              + f.route[1].ser_ns(1000) + f.route[1].delay_ns
+    expect = (f.route[0].ser_ns + f.route[0].delay_ns
+              + f.route[1].ser_ns + f.route[1].delay_ns
               + f.route[0].delay_ns + f.route[1].delay_ns)
     assert f.base_rtt_ns == expect
 

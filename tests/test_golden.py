@@ -8,7 +8,9 @@ paper's run, which is the input `multcp police` checks, a declarations
 CSV, its other input, the `police` verdicts on that trace, and the
 `simulate` output of a scenario file that sets every key it can hold.
 The short dumbbell is pinned for every variant: sack, tahoe, reno and
-newreno.
+newreno.  The library commands are pinned too: the `model --oracle`
+table, `alloc` on two price vectors, and `fairness-check` verdicts and
+both `--allocate` tables on one three-link network.
 A change to the simulator, the experiment loop or the CSV writers that
 moves any byte fails here.  Where two outputs must be the same bytes
 (stdout against -o, sweep stdout against the summary file) they share
@@ -20,7 +22,9 @@ import io
 from pathlib import Path
 
 import pytest
+import yaml
 
+from multcp import harness
 from multcp.cli import main
 from multcp.harness import (DumbbellParams, build_dumbbell, run_scenario,
                             write_run_csv)
@@ -52,11 +56,23 @@ VARIANT_CSVS = {
     "newreno": ("64f98b798169e39247da0bbaa6cf688565c7b206ef1f2b998b767f3ac897b124",
                 "f81ef74a9b08945725eed7e177fa8f1410417c3a7bd56636ff32ee68a5522816"),
 }
+MODEL_ORACLE = "f91614764c857c70a8b35572a5aeab3d54f28670973ffc6413249e5606512216"
+ALLOC = "3f0ce75dea877a1e7e19fe48113a26bd68a499e090e44469156679c6afb55488"
+FAIRNESS_RATES = "36c7cbbad9192dc284974eff183de30fe5d3e81b959f375c1985c329505eb0d8"
+FAIRNESS_ALLOCATE = {
+    "maxmin": "3259a0d38eea8009b41ef0772642d1236832ac04e914642dd775d25fcc3964e4",
+    "wpf": "eedd4f6444e372f56a4e07826d6d69be504ca5807faf456a4eb74b006276e8b5",
+}
 
 GAIN_ARGS = ["sweep", "gain", "--variant", "newreno", "--n-grid", "2",
              "--seeds", "2", "--flows", "2"]
 FAIRNESS_ARGS = ["sweep", "fairness", "--variant", "reno", "--n-grid", "2",
                  "--seeds", "2", "--flows", "3"]
+
+# three links, four connections, two of them over two links each
+NETWORK = {"capacities": {"a": 10.0, "b": 6.0, "c": 4.0},
+           "routes": [["a", "b"], ["a"], ["b", "c"], ["c"]]}
+WEIGHTS = "3,1,2,1"
 
 
 def sha256(data: bytes) -> str:
@@ -182,3 +198,59 @@ def test_simulate_all_keys_stdout_and_trace(tmp_path, capsysbinary):
                     capsysbinary)
     assert sha256(out) == ALL_KEYS_RUN_CSV
     assert sha256(trace.read_bytes()) == ALL_KEYS_TRACE_CSV
+
+
+def test_simulate_records_a_trace_only_for_trace_out(tmp_path, capsysbinary,
+                                                      monkeypatch):
+    # the file sets trace: true, but without --trace-out nothing writes it
+    traced = []
+    run = harness.run_scenario
+
+    def spy(scenario):
+        traced.append(scenario.trace)
+        return run(scenario)
+
+    monkeypatch.setattr(harness, "run_scenario", spy)
+    assert sha256(stdout_of(["simulate", str(ALL_KEYS)], capsysbinary)) \
+        == ALL_KEYS_RUN_CSV
+    assert traced == [False]
+    stdout_of(["simulate", str(ALL_KEYS), "--trace-out",
+               str(tmp_path / "trace.csv")], capsysbinary)
+    assert traced == [False, True]
+
+
+def test_model_oracle_stdout(capsysbinary):
+    argv = ["model", "--n-grid", "1,4", "--p-grid", "1e-4,1e-3", "--oracle"]
+    assert sha256(stdout_of(argv, capsysbinary)) == MODEL_ORACLE
+
+
+def test_alloc_stdout(capsysbinary):
+    # a budget the prices split exactly, then one that leaves segments over
+    out = stdout_of(["alloc", "--prices", "3,1", "--budget", "8000"],
+                    capsysbinary)
+    out += stdout_of(["alloc", "--prices", "5,2.5,1,0.3", "--budget",
+                      "123457", "--segment", "1460"], capsysbinary)
+    assert sha256(out) == ALLOC
+
+
+@pytest.fixture
+def network(tmp_path):
+    path = tmp_path / "net.yaml"
+    path.write_text(yaml.safe_dump(NETWORK))
+    return str(path)
+
+
+def test_fairness_check_rates_stdout(network, capsysbinary):
+    # the weighted-PF point (rounded) and the max-min point, unequal weights
+    out = b""
+    for rates in ("4.086,5.914,1.914,2.086", "4,6,2,2"):
+        out += stdout_of(["fairness-check", network, "--rates", rates,
+                          "--weights", WEIGHTS], capsysbinary)
+    assert sha256(out) == FAIRNESS_RATES
+
+
+@pytest.mark.parametrize("allocate", sorted(FAIRNESS_ALLOCATE))
+def test_fairness_check_allocate_stdout(network, capsysbinary, allocate):
+    argv = ["fairness-check", network, "--allocate", allocate,
+            "--weights", WEIGHTS]
+    assert sha256(stdout_of(argv, capsysbinary)) == FAIRNESS_ALLOCATE[allocate]

@@ -69,9 +69,9 @@ def test_timeout_restarts_from_one():
 
 def test_interval_set_add_and_merge():
     s = _IntervalSet()
-    assert s.add(5) and s.add(7) and s.add(6)
+    assert s.add_range(5, 6) and s.add_range(7, 8) and s.add_range(6, 7)
     assert s.ranges() == [(5, 8)]
-    assert not s.add(6)             # already covered
+    assert not s.add_range(6, 7)     # already covered
     assert s.total == 3
 
 
@@ -102,7 +102,7 @@ def test_interval_set_tracks_a_plain_set(points, cutoff):
     s = _IntervalSet()
     ref = set()
     for x in points:
-        assert s.add(x) == (x not in ref)
+        assert bool(s.add_range(x, x + 1)) == (x not in ref)
         ref.add(x)
     assert s.total == len(ref)
     assert s.count_below(cutoff) == sum(1 for x in ref if x < cutoff)
