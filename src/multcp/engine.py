@@ -152,10 +152,13 @@ class Scenario:
                 raise ValueError(f"duplicate link name {name!r}")
         for link in self.links:
             try:
-                _ser_ns(self.payload_bytes, link.bandwidth_bps)
+                ser_ns = _ser_ns(self.payload_bytes, link.bandwidth_bps)
             except OverflowError:
                 raise ValueError(f"link {link.name!r}: one payload's time on the "
                                  "wire does not fit the nanosecond clock") from None
+            if ser_ns == 0:
+                raise ValueError(f"link {link.name!r}: one payload's time on the "
+                                 "wire rounds to 0 ns")
         for i, flow in enumerate(self.flows):
             if flow.advertised_bytes is not None and \
                     not flow.advertised_bytes >= self.payload_bytes:

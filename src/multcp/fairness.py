@@ -23,12 +23,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# numpy and scipy are imported inside the functions that use them, so that
-# importing this module (and the CLI, which imports it) loads neither
+# numpy is imported inside the functions that use it, so that importing this
+# module (and the CLI, which imports it) does not load it
 _EPS = 1e-9
 # wpf_allocate declares convergence at this KKT residual, so the weighted
 # PF check accepts rate vectors that are feasible to the same tolerance
 _KKT_TOL = 1e-6
+# its Newton steps stop near rounding error, and its line search halves
+_NEWTON_TOL, _NEWTON_STEPS, _ARMIJO = 1e-15, 100, 1e-4
+_HALVINGS = tuple(0.5 ** k for k in range(60))
 _GRID_POINTS = 11     # per connection in check_maxmin's definitional search
 _BRUTE_MAX_CONNS, _BRUTE_MAX_LINKS = 4, 3     # the largest instance searched
 
@@ -226,7 +229,8 @@ def check_weighted_pf(network: Network, rates, weights, *,
         return PfVerdict(False, math.inf, None, 0,
                          "a weighted connection has zero rate")
 
-    caps, incidence = _incidence(network, network.routes)
+    caps, incidence = _incidence(network, network.routes,
+                                 sorted(network.capacities))
     box = np.array([network.route_cap(i) for i in range(n)])
 
     rng = np.random.default_rng(seed)
@@ -244,11 +248,10 @@ def check_weighted_pf(network: Network, rates, weights, *,
     return PfVerdict(worst_sum <= tol, worst_sum, tuple(y[worst]), samples)
 
 
-def _incidence(network: Network, routes):
-    """Capacities by sorted link name and the 0/1 link x route matrix."""
+def _incidence(network: Network, routes, names):
+    """Capacities of the named links and the 0/1 link x route matrix."""
     import numpy as np
 
-    names = sorted(network.capacities)
     caps = np.array([network.capacities[name] for name in names])
     incidence = np.array([[1.0 if name in route else 0.0 for route in routes]
                           for name in names])
@@ -263,7 +266,6 @@ class WpfAllocation:
     converged: bool
     kkt_residual: float
     method: str             # "closed-form" or "dual-descent"
-    detail: str = ""
 
 
 def wpf_allocate(network: Network, weights) -> WpfAllocation:
@@ -271,14 +273,14 @@ def wpf_allocate(network: Network, weights) -> WpfAllocation:
 
     With a single shared link the optimum is the weight-proportional
     split C w_s / sum w.  In general the capacity-constrained optimum is
-    found through the dual: each link gets a price lambda_l, each
-    connection a rate w_s / (sum of prices on its route), and the prices
-    minimise the smooth dual function; the KKT residual reported is the
-    worst complementary-slackness and feasibility violation, normalised
-    by capacity.
+    found through the dual: each link gets a price lambda_l >= 0, each
+    connection a rate w_s / (sum of prices on its route), and a projected
+    Newton method (Bertsekas, SIAM J. Control Optim. 20(2), 1982) finds
+    the prices that minimise the smooth dual function.  `converged` means
+    that the KKT residual, the worst complementary-slackness and
+    feasibility violation normalised by capacity, is at most _KKT_TOL.
     """
     import numpy as np
-    from scipy.optimize import minimize
 
     w = np.asarray(weights, dtype=float)
     n = network.n_connections
@@ -292,43 +294,63 @@ def wpf_allocate(network: Network, weights) -> WpfAllocation:
     active = np.flatnonzero(w > 0)
     sub_routes = [network.routes[i] for i in active]
     w_act = w[active]
+    total = w_act.sum()
 
     used = sorted({name for route in sub_routes for name in route})
     if len(used) == 1:
         cap = network.capacities[used[0]]
         rates = np.zeros(n)
-        rates[active] = cap * w_act / w_act.sum()
+        rates[active] = cap * w_act / total
         return WpfAllocation(list(rates), True, 0.0, "closed-form")
 
-    caps, incidence = _incidence(network, sub_routes)
+    caps, incidence = _incidence(network, sub_routes, used)
 
-    def dual(lam):
+    def kkt(lam):       # route prices, rates, dual gradient and KKT residual
         q = incidence.T @ lam
-        return float(np.sum(w_act * (np.log(w_act / q) - 1.0)) + lam @ caps)
-
-    def grad(lam):
-        q = incidence.T @ lam
-        return caps - incidence @ (w_act / q)
-
-    lam = np.maximum(incidence @ w_act, 1e-6) / caps
-    # L-BFGS-B can stop on a flat stretch short of the KKT tolerance; one
-    # warm restart from where it stopped gets past it
-    for _ in range(2):
-        res = minimize(dual, lam, jac=grad, method="L-BFGS-B",
-                       bounds=[(1e-12, None)] * len(caps),
-                       options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-12})
-        lam = res.x
-        q = incidence.T @ lam
-        rates = np.zeros(n)
-        rates[active] = w_act / q
-
-        loads = incidence @ rates[active]
-        overload = float(np.max(np.maximum(loads - caps, 0.0) / caps))
+        x = w_act / q
+        loads = incidence @ x
+        overload = float((np.maximum(loads - caps, 0.0) / caps).max())
         # complementary slackness, made dimensionless by the total weight
-        slack = float(np.max(lam * np.abs(caps - loads)) / w_act.sum())
-        residual = max(overload, slack)
-        if residual <= _KKT_TOL:
+        slack = float((lam * np.abs(caps - loads)).max() / total)
+        return q, x, caps - loads, max(overload, slack)
+
+    lam = incidence @ w_act / caps
+    lam *= total / (caps @ lam)     # sum(c lambda) = sum(w), as at the optimum
+    q, x, grad, residual = kkt(lam)
+    for _ in range(_NEWTON_STEPS):
+        if residual <= _NEWTON_TOL:
             break
-    converged = bool(res.success) and residual <= _KKT_TOL
-    detail = "" if converged else f"optimizer: {res.message}"
-    return WpfAllocation(list(rates), converged, residual, "dual-descent", detail)
+        # the epsilon-active links take a diagonally scaled step, the others
+        # a Newton step; the test is on price shares lambda c / sum(w)
+        share = lam * caps / total
+        eps = min(1e-3, np.abs(np.minimum(share, grad / caps)).max())
+        held = (share <= eps) & (grad > 0)
+        free = ~held
+        rows, curv = incidence[free], x / q
+        step = -grad / (incidence @ curv)
+        # two links can carry the same connections, so the Hessian's free
+        # block can be singular: its diagonal is raised slightly
+        hess = (rows * curv) @ rows.T
+        hess.flat[::len(hess) + 1] *= 1.0 + 1e-9
+        step[free] = np.linalg.solve(hess, -grad[free])
+        slope = grad[free] @ step[free]
+        # Armijo along the projection arc, first trying the step at which
+        # the first free price reaches zero
+        shrink = free & (step < 0)
+        first = (lam[shrink] / -step[shrink]).min() if shrink.any() else 1.0
+        for alpha in (first,) + _HALVINGS if 0 < first < 1 else _HALVINGS:
+            move = np.maximum(lam + alpha * step, 0.0) - lam
+            dq = incidence.T @ move
+            # no route price falls tenfold in a step; the dual decrease is
+            # summed from its differences, which stay exact near the optimum
+            if (dq > -0.9 * q).all():
+                decrease = w_act @ np.log1p(dq / q) - caps @ move
+                if decrease >= _ARMIJO * (grad[held] @ -move[held] - alpha * slope):
+                    break
+        else:
+            break
+        lam = lam + move
+        q, x, grad, residual = kkt(lam)
+    rates = np.zeros(n)
+    rates[active] = x
+    return WpfAllocation(list(rates), residual <= _KKT_TOL, residual, "dual-descent")

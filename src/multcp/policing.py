@@ -218,7 +218,9 @@ def _crossovers_from_wire(records) -> list[float]:
             highest = max(highest, r.seq)
             sent_since_ack += 1
         elif r.event == ACK_RECEIVED:
-            if prev_per_ack == 3 and sent_since_ack == 2 and r.ack is not None:
+            # a window below 1 (the ack covers all that was sent) says nothing
+            if prev_per_ack == 3 and sent_since_ack == 2 \
+                    and r.ack is not None and r.ack <= highest:
                 windows.append(float(highest + 1 - r.ack))
             prev_per_ack = sent_since_ack
             sent_since_ack = 0

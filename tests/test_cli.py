@@ -110,11 +110,23 @@ def test_simulate_stdout_matches_output_file(tmp_path, capsysbinary):
     pytest.param("top", "payload", 10**400,
                  "link 'bn': one payload's time on the wire does not fit the "
                  "nanosecond clock", id="top-payload-10**400-nanosecond clock"),
+    # a bandwidth so high that one payload's time on the wire rounds to 0 ns,
+    # on the RED link and on the FIFO one
+    ("links", "bandwidth", 1.0e300,
+     "link 'bn': one payload's time on the wire rounds to 0 ns"),
+    ("acc", "bandwidth", 1.0e300,
+     "link 'acc': one payload's time on the wire rounds to 0 ns"),
 ])
 def test_simulate_rejects_invalid_values(tmp_path, capsys, where, key, value,
                                          message):
     data = yaml.safe_load(yaml.safe_dump(SCENARIO))     # deep copy
-    (data if where == "top" else data[where][0])[key] = value
+    if where == "top":
+        target = data
+    elif where == "acc":        # the FIFO access link; "links" is the RED "bn"
+        target = data["links"][1]
+    else:
+        target = data[where][0]
+    target[key] = value
     rc = main(["simulate", str(write_scenario(tmp_path, data))])
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
@@ -384,6 +396,24 @@ def test_police_flags_violation(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "violation" in out and "observed_n=4.0" in out
     assert "bill over [0,2000000000)" in out
+
+
+def test_police_wire_only_trace_acked_in_full(tmp_path, capsys):
+    # no cwnd columns, and the second ack covers every segment sent
+    sent = [(1, "data-sent", 0, None), (2, "data-sent", 1, None),
+            (3, "data-sent", 2, None), (4, "ack-received", None, 1),
+            (5, "data-sent", 3, None), (6, "data-sent", 4, None),
+            (7, "ack-received", None, 5)]
+    trace = tmp_path / "trace.csv"
+    decls = tmp_path / "decls.csv"
+    write_trace_csv([TraceRecord(t, 0, event, None, None, seq, ack)
+                     for t, event, seq, ack in sent], trace)
+    write_declarations_csv([Declaration(0, 2.0, 0, 10**9)], decls)
+    rc = main(["police", "--trace", str(trace), "--declarations", str(decls)])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert "flow 0 declared_n=2" in captured.out
+    assert "unverifiable" in captured.out
 
 
 def test_police_bad_period(tmp_path, capsys):

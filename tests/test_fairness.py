@@ -222,8 +222,8 @@ def test_pf_check_flags_infeasible_and_starved():
 
 
 def test_wpf_restarts_a_stalled_solve():
-    # L-BFGS-B stops at a KKT residual of 1.8e-6 on this network; one warm
-    # restart from where it stopped reaches about 1e-8
+    # L-BFGS-B, the solver before the projected Newton method, stopped at a
+    # KKT residual of 1.8e-6 on this network and needed a warm restart
     net = Network(capacities={"l0": 1.6463932040459577,
                               "l1": 11.324557036636554,
                               "l2": 89.19022939192499},
@@ -231,6 +231,54 @@ def test_wpf_restarts_a_stalled_solve():
     alloc = wpf_allocate(net, [2.4789521990777565, 3.709034296521901,
                                6.364686090913879, 6.380761077452064])
     assert alloc.converged and alloc.kkt_residual <= 1e-6, alloc
+
+
+def test_wpf_triangle_optimum_to_rounding():
+    alloc = wpf_allocate(TRIANGLE, [1.0, 1.0, 1.0])
+    assert alloc.converged
+    assert alloc.rates == pytest.approx([10 / 3, 20 / 3, 20 / 3], rel=1e-12)
+
+
+def test_wpf_fills_every_saturated_link():
+    # the network of the FAIRNESS_ALLOCATE golden pin: all three links bind
+    net = Network(capacities={"a": 10.0, "b": 6.0, "c": 4.0},
+                  routes=(("a", "b"), ("a",), ("b", "c"), ("c",)))
+    alloc = wpf_allocate(net, [3.0, 1.0, 2.0, 1.0])
+    assert alloc.converged
+    for name, load in net.loads(alloc.rates).items():
+        assert load == pytest.approx(net.capacities[name], rel=1e-12)
+
+
+@pytest.mark.parametrize("caps, routes, weights", [
+    # l0 and l2 carry the same connections, so the incidence is rank-deficient
+    ({"l0": 25.89995516157655, "l1": 16.598965643575486,
+      "l2": 10.947762539455585},
+     (("l0", "l1"), ("l0", "l2"), ("l0", "l2"), ("l0", "l2")),
+     [7.973905104958563, 0.18239853218669128, 5.4661971867414945,
+      8.255682063322933]),
+    # L-BFGS-B reported this one as not converged at a residual of 2e-9
+    ({"l0": 76.6733056822096, "l1": 70.240332871925, "l2": 16.76330351725771},
+     (("l0", "l2"), ("l0", "l1"), ("l0", "l1"), ("l0", "l2")),
+     [0.899409058257387, 7.769316406649126, 8.371752495203292,
+      2.555102143776166]),
+], ids=["rank-deficient", "flagged-by-lbfgsb"])
+def test_wpf_converges_on_hard_networks(caps, routes, weights):
+    alloc = wpf_allocate(Network(capacities=caps, routes=routes), weights)
+    assert alloc.converged and alloc.kkt_residual <= 1e-12, alloc
+
+
+def test_wpf_converges_on_a_seeded_sweep():
+    # three links and four connections, drawn as the benchmark draws them
+    rng = random.Random(21)
+    links = ["l0", "l1", "l2"]
+    for _ in range(600):
+        caps = {name: rng.uniform(1.0, 100.0) for name in links}
+        routes = tuple(tuple(sorted(rng.sample(links, rng.randint(1, 3))))
+                       for _ in range(4))
+        weights = [rng.uniform(0.1, 10.0) for _ in routes]
+        alloc = wpf_allocate(Network(capacities=caps, routes=routes), weights)
+        assert alloc.converged and alloc.kkt_residual <= 1e-7, \
+            (caps, routes, weights, alloc)
 
 
 def test_wpf_rejects_bad_weights():

@@ -61,7 +61,7 @@ ALLOC = "3f0ce75dea877a1e7e19fe48113a26bd68a499e090e44469156679c6afb55488"
 FAIRNESS_RATES = "36c7cbbad9192dc284974eff183de30fe5d3e81b959f375c1985c329505eb0d8"
 FAIRNESS_ALLOCATE = {
     "maxmin": "3259a0d38eea8009b41ef0772642d1236832ac04e914642dd775d25fcc3964e4",
-    "wpf": "eedd4f6444e372f56a4e07826d6d69be504ca5807faf456a4eb74b006276e8b5",
+    "wpf": "a3095585927ff03b96c06d2750579e613c872161734641456b4cb04823fae689",
 }
 
 GAIN_ARGS = ["sweep", "gain", "--variant", "newreno", "--n-grid", "2",

@@ -1,10 +1,11 @@
-"""numpy, scipy and yaml load only in the functions that use them.
+"""numpy and yaml load only in the functions that use them; scipy never.
 
 Importing multcp, simulating a scenario and policing a trace need none of
 the numeric stack; each check runs in a fresh interpreter, because this
 test process has numpy loaded already.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -75,9 +76,28 @@ def test_simulate_and_police_load_no_numeric_stack(police_files):
     assert top_level(police) & {"numpy", "scipy"} == set()
 
 
-def test_wpf_allocate_loads_scipy_optimize_on_first_call():
-    loaded = loaded_after(
-        "from multcp.fairness import Network, wpf_allocate\n"
-        "net = Network({'a': 1.0, 'b': 2.0}, (('a',), ('a', 'b'), ('b',)))\n"
-        "assert wpf_allocate(net, [1.0, 1.0, 1.0]).converged")
-    assert "scipy.optimize" in loaded
+def test_wpf_allocate_and_fairness_check_load_numpy_but_no_scipy(tmp_path):
+    net = tmp_path / "net.yaml"
+    net.write_text("capacities: {a: 1.0, b: 2.0}\nroutes: [[a], [a, b], [b]]\n")
+    for code in (
+            "from multcp.fairness import Network, wpf_allocate\n"
+            "net = Network({'a': 1.0, 'b': 2.0}, (('a',), ('a', 'b'), ('b',)))\n"
+            "assert wpf_allocate(net, [1.0, 1.0, 1.0]).converged",
+            "from multcp import cli\n"
+            f"assert cli.main(['fairness-check', {str(net)!r},"
+            " '--allocate', 'wpf']) == 0"):
+        loaded = top_level(loaded_after(code))
+        assert "numpy" in loaded and "scipy" not in loaded, code
+
+
+def test_no_module_imports_scipy():
+    for path in sorted((ROOT / "src" / "multcp").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "scipy" for name in names), \
+                (path.name, node.lineno)

@@ -92,6 +92,18 @@ def test_analyze_trace_indeterminate_and_mixed_flow_error():
         analyze_trace(mixed)
 
 
+def test_analyze_trace_wire_only_skips_an_empty_window():
+    # three segments sent, then two more; the second ack covers them all,
+    # so the slow-start crossover window there would be 0
+    analysis = analyze_trace([
+        rec(1, "data-sent", seq=0), rec(2, "data-sent", seq=1),
+        rec(3, "data-sent", seq=2), rec(4, "ack-received", ack=1),
+        rec(5, "data-sent", seq=3), rec(6, "data-sent", seq=4),
+        rec(7, "ack-received", ack=5)])
+    assert analysis.slow_start_samples == 0
+    assert analysis.slow_start_n is None
+
+
 def test_analyze_trace_wire_only_estimates_coarsely():
     # no cwnd columns at all: reconstruct in-flight from seq/ack; 40
     # outstanding dropping to 30 across the loss reads as roughly N = 2
