@@ -9,8 +9,8 @@ links) per connection.  Two fairness notions are covered:
   instances) or via the bottleneck criterion: every connection must
   cross a saturated link on which it is among the fastest.
 * (weighted) proportional fairness: for every feasible alternative y,
-  sum_s w_s (y_s - x_s) / x_s <= 0.  Checked by randomized search over
-  feasible alternatives.
+  sum_s w_s (y_s - x_s) / x_s <= 0.  Checked by a certificate: link
+  prices, fitted by non-negative least squares, that bound that sum.
 
 The strict variant of the max-min test demands a strictly smaller
 victim (x_s < x_r instead of x_s <= x_r).  Equal-rate allocations can
@@ -199,20 +199,20 @@ def _check_maxmin_bottleneck(network: Network, rates) -> bool:
 @dataclass(frozen=True)
 class PfVerdict:
     passed: bool
-    worst_sum: float        # max of sum_s w_s (y_s - x_s) / x_s over samples
-    worst_y: tuple | None
-    samples: int
+    worst_sum: float        # bound on max of sum_s w_s (y_s - x_s) / x_s
     detail: str = ""
 
 
 def check_weighted_pf(network: Network, rates, weights, *,
-                      samples: int = 10_000, seed: int = 0,
-                      tol: float = 1e-7) -> PfVerdict:
-    """Randomized test of sum_s w_s (y_s - x_s) / x_s <= 0 over feasible y.
+                      tol: float = 1e-7, samples: int | None = None) -> PfVerdict:
+    """Certify sum_s w_s (y_s - x_s) / x_s <= tol over feasible y.
 
-    Alternatives are drawn uniformly in the per-connection capacity box
-    and projected onto the feasible region by scaling; boundary points
-    are the discriminating ones, interior draws are kept as well.
+    Prices lambda >= 0 on the links saturated to 10 _KKT_TOL are fitted to
+    w_s / x_s along each weighted route by non-negative least squares and
+    scaled until every route sum reaches it (Kelly, Eur. Trans. Telecommun.
+    8, 1997).  For y that load no saturated link beyond x, the sum is then
+    at most `worst_sum` = load . lambda - sum w: 0 at an exact optimum, inf
+    for an unpriced route.  `samples` is ignored; only bench/ passes it.
     """
     import numpy as np
 
@@ -221,31 +221,54 @@ def check_weighted_pf(network: Network, rates, weights, *,
     n = network.n_connections
     if x.shape != (n,) or w.shape != (n,):
         raise ValueError("rates and weights must have one entry per connection")
-    if np.any(w < 0):
-        raise ValueError("weights must be non-negative")
+    if not (np.isfinite(w).all() and (w >= 0).all()):
+        raise ValueError("weights must be finite and non-negative")
     if not network.is_feasible(x, tol=_KKT_TOL):
-        return PfVerdict(False, math.inf, None, 0, "rate vector is not feasible")
+        return PfVerdict(False, math.inf, "rate vector is not feasible")
     if np.any((x <= 0) & (w > 0)):
-        return PfVerdict(False, math.inf, None, 0,
-                         "a weighted connection has zero rate")
+        return PfVerdict(False, math.inf, "a weighted connection has zero rate")
 
     caps, incidence = _incidence(network, network.routes,
                                  sorted(network.capacities))
-    box = np.array([network.route_cap(i) for i in range(n)])
-
-    rng = np.random.default_rng(seed)
-    y = rng.uniform(0.0, 1.0, size=(samples, n)) * box
-    loads = y @ incidence.T
-    factors = np.max(loads / caps, axis=1)
-    np.maximum(factors, 1.0, out=factors)
-    y /= factors[:, None]
-
+    loads = incidence @ x
+    saturated = loads >= caps * (1.0 - 10 * _KKT_TOL)
     active = w > 0
-    terms = (y[:, active] - x[active]) / x[active] * w[active]
-    sums = terms.sum(axis=1)
-    worst = int(np.argmax(sums))
-    worst_sum = float(sums[worst])
-    return PfVerdict(worst_sum <= tol, worst_sum, tuple(y[worst]), samples)
+    price_sums = incidence[saturated][:, active].T     # [connection, link]
+    need = w[active] / x[active]
+    lam = _nnls(price_sums, need)
+    got = price_sums @ lam
+    if np.any(got <= 0):
+        return PfVerdict(False, math.inf)
+    scale = (need / got).max(initial=0.0)
+    worst_sum = float(scale * (loads[saturated] @ lam) - w[active].sum())
+    return PfVerdict(worst_sum <= tol, worst_sum)
+
+
+def _nnls(a, b):
+    """min |a z - b| over z >= 0, by the active-set method of Lawson and
+    Hanson (Solving Least Squares Problems, 1974, ch. 23)."""
+    import numpy as np
+
+    z = np.zeros(a.shape[1])
+    free = np.zeros(a.shape[1], dtype=bool)
+    for _ in range(3 * a.shape[1]):
+        grad = a.T @ (b - a @ z)
+        if free.all() or grad[~free].max() <= 1e-12 * np.abs(b).sum():
+            break
+        free[np.argmax(np.where(free, -np.inf, grad))] = True
+        while True:
+            trial = np.zeros_like(z)
+            trial[free] = np.linalg.lstsq(a[:, free], b, rcond=None)[0]
+            if (trial[free] >= 0).all():
+                break
+            # move towards trial until the first free variable reaches zero
+            neg = np.flatnonzero(free & (trial < 0))
+            ratios = z[neg] / (z[neg] - trial[neg])
+            z += ratios.min() * (trial - z)
+            z[neg[ratios.argmin()]] = 0.0
+            free &= z > 0
+        z = trial
+    return z
 
 
 def _incidence(network: Network, routes, names):
@@ -286,8 +309,8 @@ def wpf_allocate(network: Network, weights) -> WpfAllocation:
     n = network.n_connections
     if w.shape != (n,):
         raise ValueError("weights must have one entry per connection")
-    if np.any(w < 0):
-        raise ValueError("weights must be non-negative")
+    if not (np.isfinite(w).all() and (w >= 0).all()):
+        raise ValueError("weights must be finite and non-negative")
     if not np.any(w > 0):
         raise ValueError("at least one weight must be positive")
 

@@ -272,10 +272,14 @@ def test_fairness_check_verdicts(tmp_path, capsys):
     assert main(["fairness-check", str(net), "--rates", "5,5"]) == 0
     out = capsys.readouterr().out
     assert "maxmin: PASS" in out and "weighted-pf: PASS" in out
-    assert "over 10000 samples" in out
+    assert "gain bound" in out and "from link prices" in out
     assert main(["fairness-check", str(net), "--rates", "1,2"]) == 0
     out = capsys.readouterr().out
     assert "maxmin: FAIL" in out and "weighted-pf: FAIL" in out
+    assert main(["fairness-check", str(net), "--rates", "0,10"]) == 0
+    out = capsys.readouterr().out
+    assert "weighted-pf: FAIL (gain bound inf" in out
+    assert "  a weighted connection has zero rate" in out
 
 
 def test_fairness_check_rate_count_mismatch(tmp_path, capsys):

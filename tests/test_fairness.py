@@ -202,15 +202,14 @@ def test_wpf_multi_link_known_optimum():
 def test_wpf_output_passes_pf_check():
     alloc = wpf_allocate(TRIANGLE, [2.0, 1.0, 1.0])
     verdict = check_weighted_pf(TRIANGLE, alloc.rates, [2.0, 1.0, 1.0],
-                                samples=4000, seed=11, tol=1e-5)
+                                tol=1e-5)
     assert verdict.passed, verdict
 
 
 def test_pf_check_rejects_maxmin_on_asymmetric_net():
     # equal split is not proportionally fair when routes differ in length
     rates = maxmin_allocate(TRIANGLE)
-    verdict = check_weighted_pf(TRIANGLE, rates, [1.0] * 3, samples=4000,
-                                seed=2)
+    verdict = check_weighted_pf(TRIANGLE, rates, [1.0] * 3)
     assert not verdict.passed
     assert verdict.worst_sum > 0
 
@@ -290,6 +289,15 @@ def test_wpf_rejects_bad_weights():
         wpf_allocate(TRIANGLE, [0.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_non_finite_or_negative_weights_are_rejected(bad):
+    # a NaN weight used to be read as 0, and an infinite one gave NaN rates
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        wpf_allocate(TRIANGLE, [bad, 1.0, 1.0])
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        check_weighted_pf(TRIANGLE, [5.0, 5.0, 5.0], [bad, 1.0, 1.0])
+
+
 def test_wpf_price_interpretation_two_users():
     # doubling the weight doubles the share on a shared link
     net = Network(capacities={"l": 9.0}, routes=(("l",), ("l",)))
@@ -328,6 +336,150 @@ def test_converged_allocations_pass_the_pf_check():
         if not alloc.converged:
             continue
         converged += 1
-        verdict = check_weighted_pf(net, alloc.rates, weights, samples=2000)
+        verdict = check_weighted_pf(net, alloc.rates, weights)
         assert verdict.passed, (caps, routes, weights, verdict.detail)
     assert converged >= 50
+
+
+def test_pf_check_still_accepts_samples():
+    # bench/workloads.py passes samples=; the certificate ignores it
+    alloc = wpf_allocate(TRIANGLE, [2.0, 1.0, 1.0])
+    assert check_weighted_pf(TRIANGLE, alloc.rates, [2.0, 1.0, 1.0],
+                             samples=1000).passed
+
+
+# -- the PF certificate against an exact linear program ---------------------
+
+def exact_pf_gain(network, rates, weights):
+    """max of sum_s w_s (y_s - x_s) / x_s over feasible y, and its y.
+
+    A reference for small instances (up to 3 links and 4 connections): the
+    objective is linear in y, so its maximum over the polytope
+    {y >= 0, A y <= c} is attained at a vertex, and every vertex is the
+    solution of n active constraints.
+    """
+    names = sorted(network.capacities)
+    n = network.n_connections
+    a = np.array([[name in route for route in network.routes] for name in names],
+                 dtype=float)
+    g = np.vstack([a, -np.eye(n)])
+    h = np.concatenate([[network.capacities[name] for name in names], np.zeros(n)])
+    x, w = np.asarray(rates, dtype=float), np.asarray(weights, dtype=float)
+    c = np.divide(w, x, out=np.zeros(n), where=w > 0)
+    best, best_y = -np.inf, None
+    for rows in itertools.combinations(range(len(g)), n):
+        sub = g[list(rows)]
+        if abs(np.linalg.det(sub)) < 1e-9:
+            continue
+        y = np.linalg.solve(sub, h[list(rows)])
+        if (g @ y <= h + 1e-9).all() and c @ y > best:
+            best, best_y = c @ y, y
+    return best - w.sum(), best_y
+
+
+def _pf_instances():
+    """The seven max-min instances of acceptance criterion 6 and 150 seeded
+    networks of 1-3 links and 1-4 connections, each with seeded weights."""
+    nets = [Network(capacities={"a": 12.0}, routes=(("a",),) * k)
+            for k in (2, 3, 4)]
+    nets += [Network(capacities={"a": 10.0, "b": 6.0},
+                     routes=(("a", "b"), ("a",), ("b",))),
+             Network(capacities={"a": 8.0, "b": 5.0, "c": 9.0},
+                     routes=(("a", "b", "c"), ("a",), ("b",), ("c",))),
+             Network(capacities={"a": 4.0, "b": 16.0},
+                     routes=(("a",), ("a", "b"), ("b",), ("b",))),
+             Network(capacities={"a": 6.0, "b": 7.0, "c": 8.0},
+                     routes=(("a", "b"), ("b", "c"), ("a", "c")))]
+    rng = random.Random(22)
+    for _ in range(150):
+        links = [f"l{i}" for i in range(rng.randint(1, 3))]
+        caps = {name: rng.uniform(1.0, 100.0) for name in links}
+        routes = tuple(tuple(sorted(rng.sample(links, rng.randint(1, len(links)))))
+                       for _ in range(rng.randint(1, 4)))
+        nets.append(Network(capacities=caps, routes=routes))
+    return rng, [(net, [rng.uniform(0.1, 10.0) for _ in net.routes])
+                 for net in nets]
+
+
+def test_pf_certificate_passes_optima_and_near_optima():
+    _, instances = _pf_instances()
+    for net, weights in instances:
+        alloc = wpf_allocate(net, weights)
+        assert alloc.converged
+        gain, _ = exact_pf_gain(net, alloc.rates, weights)
+        assert gain <= 1e-9, (net, weights, gain)
+        # 1e-8 below capacity: the certificate measures against the loads
+        for rates in (alloc.rates, [r * (1 - 1e-8) for r in alloc.rates]):
+            verdict = check_weighted_pf(net, rates, weights)
+            assert verdict.passed and verdict.worst_sum <= 1e-9, \
+                (net, weights, rates, verdict)
+
+
+def test_pf_certificate_bounds_the_exact_gain():
+    # max-min allocations and random points on the capacity boundary; the
+    # certificate must fail every point that the exact LP shows can gain
+    rng, instances = _pf_instances()
+    failed = 0
+    for net, weights in instances:
+        n = net.n_connections
+        box = [net.route_cap(i) for i in range(n)]
+        points = [maxmin_allocate(net)]
+        for _ in range(4):
+            y = [rng.uniform(0.1, 1.0) * b for b in box]
+            loads = net.loads(y)
+            points.append([r / max(loads[k] / c for k, c in net.capacities.items())
+                           for r in y])
+        for rates in points:
+            gain, _ = exact_pf_gain(net, rates, weights)
+            verdict = check_weighted_pf(net, rates, weights)
+            if gain >= 1e-4:
+                failed += 1
+                assert not verdict.passed, (net, weights, rates, gain)
+                assert verdict.worst_sum >= gain * (1 - 1e-9), \
+                    (net, weights, rates, gain, verdict)
+            elif verdict.passed:
+                assert gain <= 1e-7, (net, weights, rates, gain)
+    assert failed >= 500
+
+
+def test_pf_certificate_on_links_that_carry_the_same_connections():
+    # a and b carry connections 0 and 1 alike, so their price rows coincide
+    net = Network(capacities={"a": 10.0, "b": 10.0, "c": 5.0},
+                  routes=(("a", "b"), ("a", "b", "c"), ("c",)))
+    weights = [1.0, 2.0, 3.0]
+    alloc = wpf_allocate(net, weights)
+    verdict = check_weighted_pf(net, alloc.rates, weights)
+    assert verdict.passed and verdict.worst_sum <= 1e-9, verdict
+    rates = maxmin_allocate(net)
+    gain, _ = exact_pf_gain(net, rates, weights)
+    verdict = check_weighted_pf(net, rates, weights)
+    assert gain > 0.1 and not verdict.passed and verdict.worst_sum >= gain
+
+
+def test_pf_certificate_ignores_a_weight_zero_connection():
+    # connection 2 has weight 0: its rate, even one that fills link bc, and
+    # its presence do not move the verdict
+    without = Network(capacities={"ab": 10.0, "bc": 10.0},
+                      routes=(("ab", "bc"), ("ab",)))
+    alloc = wpf_allocate(without, [2.0, 1.0])
+    assert alloc.rates == pytest.approx([20 / 3, 10 / 3], rel=1e-12)
+    alone = check_weighted_pf(without, alloc.rates, [2.0, 1.0])
+    assert wpf_allocate(TRIANGLE, [2.0, 1.0, 0.0]).rates[2] == 0.0
+    for spare in (0.0, 1.0, 10 / 3):
+        verdict = check_weighted_pf(TRIANGLE, alloc.rates + [spare],
+                                    [2.0, 1.0, 0.0])
+        assert verdict.passed and verdict.worst_sum == \
+            pytest.approx(alone.worst_sum, abs=1e-12), (spare, verdict)
+
+
+def test_rounded_wpf_optimum_is_not_pf():
+    # the weighted-PF optimum of the FAIRNESS_RATES golden network, rounded
+    # to three decimals: y = (2, 8, 4, 0) gains 8.79e-4 over it
+    net = Network(capacities={"a": 10.0, "b": 6.0, "c": 4.0},
+                  routes=(("a", "b"), ("a",), ("b", "c"), ("c",)))
+    rates, weights = [4.086, 5.914, 1.914, 2.086], [3.0, 1.0, 2.0, 1.0]
+    gain, y = exact_pf_gain(net, rates, weights)
+    assert gain == pytest.approx(8.79e-4, abs=1e-6)
+    assert y == pytest.approx([2.0, 8.0, 4.0, 0.0])
+    verdict = check_weighted_pf(net, rates, weights)
+    assert not verdict.passed and verdict.worst_sum >= gain

@@ -58,7 +58,7 @@ VARIANT_CSVS = {
 }
 MODEL_ORACLE = "f91614764c857c70a8b35572a5aeab3d54f28670973ffc6413249e5606512216"
 ALLOC = "3f0ce75dea877a1e7e19fe48113a26bd68a499e090e44469156679c6afb55488"
-FAIRNESS_RATES = "36c7cbbad9192dc284974eff183de30fe5d3e81b959f375c1985c329505eb0d8"
+FAIRNESS_RATES = "3762f85fbf08ca22d01a92de4c41644933d8229c4f38642bfac159f7e548c4eb"
 FAIRNESS_ALLOCATE = {
     "maxmin": "3259a0d38eea8009b41ef0772642d1236832ac04e914642dd775d25fcc3964e4",
     "wpf": "a3095585927ff03b96c06d2750579e613c872161734641456b4cb04823fae689",
@@ -241,9 +241,13 @@ def network(tmp_path):
 
 
 def test_fairness_check_rates_stdout(network, capsysbinary):
-    # the weighted-PF point (rounded) and the max-min point, unequal weights
+    # unequal weights: the weighted-PF optimum rounded to three decimals
+    # (not PF: y = (2, 8, 4, 0) gains 8.79e-4 over it), the max-min point,
+    # and the optimum as `--allocate wpf` prints it, which passes
     out = b""
-    for rates in ("4.086,5.914,1.914,2.086", "4,6,2,2"):
+    for rates in ("4.086,5.914,1.914,2.086", "4,6,2,2",
+                  "4.085571536882382,5.914428463117619,"
+                  "1.9144284631176194,2.0855715368823806"):
         out += stdout_of(["fairness-check", network, "--rates", rates,
                           "--weights", WEIGHTS], capsysbinary)
     assert sha256(out) == FAIRNESS_RATES
