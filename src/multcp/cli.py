@@ -278,13 +278,6 @@ def _cmd_police(args) -> int:
     declarations = read_declarations_csv(args.declarations)
     if not declarations:
         raise ValueError("no declarations to verify")
-    for decl in declarations:
-        report = verify_declaration(records, decl, tolerance=args.tolerance)
-        observed = ("" if report.observed_n is None
-                    else f" observed_n={report.observed_n:.3f}")
-        print(f"flow {decl.flow_id} declared_n={decl.declared_n:g} "
-              f"[{decl.start_ns},{decl.end_ns}): {report.status}"
-              f"{observed} (method={report.method})")
     if args.period:
         try:
             start_ns, end_ns = (int(x) for x in args.period.split(":"))
@@ -293,7 +286,16 @@ def _cmd_police(args) -> int:
     else:
         start_ns = min(d.start_ns for d in declarations)
         end_ns = max(d.end_ns for d in declarations)
+    # every check runs first, so an error never follows printed verdicts
+    reports = [verify_declaration(records, decl, tolerance=args.tolerance)
+               for decl in declarations]
     charge = bill(declarations, (start_ns, end_ns))
+    for decl, report in zip(declarations, reports):
+        observed = ("" if report.observed_n is None
+                    else f" observed_n={report.observed_n:.3f}")
+        print(f"flow {decl.flow_id} declared_n={decl.declared_n:g} "
+              f"[{decl.start_ns},{decl.end_ns}): {report.status}"
+              f"{observed} (method={report.method})")
     print(f"bill over [{start_ns},{end_ns}) ns: {charge:.6f} weight-seconds")
     return 0
 

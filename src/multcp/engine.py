@@ -13,6 +13,11 @@ busy-until horizon.  A RedLink owns a real RedQueue and explicit
 transmit-complete events, because drop decisions must see the actual
 queue occupancy at each arrival.
 
+Same-nanosecond ties: FifoLink counts a service ending at `now` as done
+and drops only when busy_until - now > limit * ser, so a backlog of
+exactly `limit` service times admits.  RedLink runs them in push order:
+an arrival pushed before a transmit-complete sees that packet queued.
+
 Acks are 40 bytes, never queued and never dropped: the return path is
 pure delay, the sum of the forward links' propagation delays.
 

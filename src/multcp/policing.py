@@ -13,23 +13,21 @@ off a packet trace in two independent ways:
   so the window value where the growth changes inverts to
   N = w ** ((log 3 - log 2) / log 3).
 
-Simulation traces carry exact cwnd values; wire-only traces (cwnd
-columns empty) fall back to coarse in-flight reconstruction from the
-seq/ack columns, which is indicative rather than accurate.
+Both read the sender's cwnd columns, which every simulation trace
+carries; a trace without them cannot be policed.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
 
 from .engine import NS_PER_SEC
 from .harness import _output, read_csv, write_csv
-from .tcp import (ACK_RECEIVED, DATA_SENT, LOSS_DETECTED, TIMEOUT,
-                  TRACE_EVENTS, TraceRecord)
+from .tcp import (ACK_RECEIVED, LOSS_DETECTED, TIMEOUT, TRACE_EVENTS,
+                  TraceRecord)
 
 TRACE_COLUMNS = ("time_ns", "flow_id", "event", "cwnd_before", "cwnd_after",
                  "seq", "ack")
@@ -37,6 +35,8 @@ DECLARATION_COLUMNS = ("flow_id", "declared_n", "start_ns", "end_ns")
 
 # inverse of the slow-start crossover 3 ** (log N / (log 3 - log 2))
 _SS_EXPONENT = (math.log(3.0) - math.log(2.0)) / math.log(3.0)
+# fewer loss events than this and the slow-start signature is preferred
+_MIN_DECREASE_SAMPLES = 5
 
 
 @dataclass(frozen=True)
@@ -95,28 +95,25 @@ def split_trace(records) -> dict[int, list[TraceRecord]]:
     return out
 
 
-def analyze_trace(records, *, min_decrease_samples: int = 5) -> TraceAnalysis:
+def analyze_trace(records) -> TraceAnalysis:
     """Estimate the weight behind one flow's trace.
 
     The reduction-ratio median is the headline whenever at least
-    `min_decrease_samples` loss events are available; otherwise the
+    _MIN_DECREASE_SAMPLES loss events are available; otherwise the
     slow-start signature is used; with neither the verdict is
     indeterminate.  Timeouts never contribute ratios (they collapse the
-    window to one segment, which says nothing about N).
+    window to one segment, which says nothing about N).  A non-empty
+    trace with no record carrying both cwnd values raises ValueError.
     """
     records = list(records)
-    flows = {r.flow_id for r in records}
-    if len(flows) > 1:
+    if len({r.flow_id for r in records}) > 1:
         raise ValueError("trace mixes multiple flows; split it first")
-
-    has_cwnd = any(r.cwnd_before is not None and r.cwnd_after is not None
-                   for r in records)
-    if has_cwnd or not records:
-        ratios = _ratios_from_cwnd(records)
-        windows = _crossovers_from_cwnd(records)
-    else:
-        ratios = _ratios_from_wire(records)
-        windows = _crossovers_from_wire(records)
+    if records and not any(r.cwnd_before is not None
+                           and r.cwnd_after is not None for r in records):
+        raise ValueError("policing needs the sender's cwnd; "
+                         "the trace's cwnd columns are empty")
+    ratios = _ratios_from_cwnd(records)
+    windows = _crossovers_from_cwnd(records)
 
     decrease_n = None
     if ratios:
@@ -127,7 +124,7 @@ def analyze_trace(records, *, min_decrease_samples: int = 5) -> TraceAnalysis:
         slow_start_n = statistics.median(estimate_n_from_slow_start(w)
                                          for w in windows)
 
-    if decrease_n is not None and len(ratios) >= min_decrease_samples:
+    if decrease_n is not None and len(ratios) >= _MIN_DECREASE_SAMPLES:
         headline, method = decrease_n, "decrease"
     elif slow_start_n is not None:
         headline, method = slow_start_n, "slow-start"
@@ -142,15 +139,11 @@ def analyze_trace(records, *, min_decrease_samples: int = 5) -> TraceAnalysis:
 
 
 def _ratios_from_cwnd(records) -> list[float]:
-    ratios = []
-    for r in records:
-        if r.event != LOSS_DETECTED:
-            continue
-        if r.cwnd_before is None or r.cwnd_after is None:
-            continue
-        if r.cwnd_before > 0 and 0.0 < r.cwnd_after / r.cwnd_before < 1.0:
-            ratios.append(r.cwnd_after / r.cwnd_before)
-    return ratios
+    """cwnd_after / cwnd_before at each loss event that shrank the window."""
+    ratios = [r.cwnd_after / r.cwnd_before for r in records
+              if r.event == LOSS_DETECTED and r.cwnd_after is not None
+              and r.cwnd_before is not None and r.cwnd_before > 0]
+    return [x for x in ratios if 0.0 < x < 1.0]
 
 
 def _crossovers_from_cwnd(records) -> list[float]:
@@ -174,69 +167,12 @@ def _crossovers_from_cwnd(records) -> list[float]:
     return windows
 
 
-def _inflight_series(records) -> list[tuple[int, float]]:
-    """Coarse in-flight estimate at each ack, from seq/ack columns only."""
-    series = []
-    highest = -1
-    for i, r in enumerate(records):
-        if r.event == DATA_SENT and r.seq is not None:
-            highest = max(highest, r.seq)
-        elif r.event == ACK_RECEIVED and r.ack is not None and highest >= 0:
-            series.append((i, float(highest + 1 - r.ack)))
-    return series
-
-
-def _ratios_from_wire(records, *, before_window: int = 10,
-                      after_window: int = 30) -> list[float]:
-    series = _inflight_series(records)
-    if not series:
-        return []
-    positions = [i for i, r in enumerate(records) if r.event == LOSS_DETECTED]
-    indices = [i for i, _ in series]
-    values = [v for _, v in series]
-    ratios = []
-    for pos in positions:
-        k = bisect_left(indices, pos)
-        before = values[max(0, k - before_window):k]
-        after = values[k:k + after_window]
-        if not before or not after:
-            continue
-        peak, trough = max(before), min(after)
-        if peak > 0 and 0.0 < trough / peak < 1.0:
-            ratios.append(trough / peak)
-    return ratios
-
-
-def _crossovers_from_wire(records) -> list[float]:
-    """Packets-per-ack dropping from 3 to 2 marks the slow-start crossover."""
-    windows = []
-    highest = -1
-    sent_since_ack = 0
-    prev_per_ack: int | None = None
-    for r in records:
-        if r.event == DATA_SENT and r.seq is not None:
-            highest = max(highest, r.seq)
-            sent_since_ack += 1
-        elif r.event == ACK_RECEIVED:
-            # a window below 1 (the ack covers all that was sent) says nothing
-            if prev_per_ack == 3 and sent_since_ack == 2 \
-                    and r.ack is not None and r.ack <= highest:
-                windows.append(float(highest + 1 - r.ack))
-            prev_per_ack = sent_since_ack
-            sent_since_ack = 0
-        elif r.event in (LOSS_DETECTED, TIMEOUT):
-            prev_per_ack = None
-            sent_since_ack = 0
-    return windows
-
-
 @dataclass(frozen=True)
 class ComplianceReport:
     status: str                 # "compliant" | "violation" | "unverifiable"
     declared_n: float
     observed_n: float | None
     method: str
-    detail: str = ""
 
 
 def verify_declaration(records, decl: Declaration,
@@ -256,7 +192,7 @@ def verify_declaration(records, decl: Declaration,
     analysis = analyze_trace(window)
     if analysis.headline_n is None:
         return ComplianceReport("unverifiable", decl.declared_n, None,
-                                "indeterminate", "no usable evidence in window")
+                                "indeterminate")
     observed = analysis.headline_n
     if observed > decl.declared_n * (1.0 + tolerance):
         return ComplianceReport("violation", decl.declared_n, observed,

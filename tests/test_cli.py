@@ -402,7 +402,7 @@ def test_police_flags_violation(tmp_path, capsys):
     assert "bill over [0,2000000000)" in out
 
 
-def test_police_wire_only_trace_acked_in_full(tmp_path, capsys):
+def test_police_rejects_a_trace_without_cwnd(tmp_path, capsys):
     # no cwnd columns, and the second ack covers every segment sent
     sent = [(1, "data-sent", 0, None), (2, "data-sent", 1, None),
             (3, "data-sent", 2, None), (4, "ack-received", None, 1),
@@ -415,9 +415,25 @@ def test_police_wire_only_trace_acked_in_full(tmp_path, capsys):
     write_declarations_csv([Declaration(0, 2.0, 0, 10**9)], decls)
     rc = main(["police", "--trace", str(trace), "--declarations", str(decls)])
     captured = capsys.readouterr()
-    assert rc == 0, captured.err
-    assert "flow 0 declared_n=2" in captured.out
-    assert "unverifiable" in captured.out
+    assert rc == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "cwnd" in lines[0] and "Traceback" not in captured.err
+
+
+def test_police_overlapping_declarations_print_no_verdicts(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    decls = tmp_path / "decls.csv"
+    write_trace_csv(compliant_trace(2.0), trace)
+    write_declarations_csv([Declaration(0, 2.0, 0, 10**9),
+                            Declaration(0, 2.0, 5 * 10**8, 2 * 10**9)], decls)
+    rc = main(["police", "--trace", str(trace), "--declarations", str(decls)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines == ["error: overlapping declarations for flow 0"]
 
 
 def test_police_bad_period(tmp_path, capsys):
@@ -428,7 +444,9 @@ def test_police_bad_period(tmp_path, capsys):
     rc = main(["police", "--trace", str(trace), "--declarations", str(decls),
                "--period", "oops"])
     assert rc == 1
-    assert "--period" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "--period" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])

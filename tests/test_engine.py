@@ -64,6 +64,36 @@ def test_fifo_link_tail_drops_past_limit():
     assert link.drops == 2
 
 
+def test_fifo_link_tie_rule():
+    # a backlog of exactly `limit` service times admits, one ns more drops,
+    # and a service that ends at `now` is already done
+    ms = 1_000_000
+
+    class Sink:
+        def __init__(self):
+            self.events = []
+
+        def schedule(self, t, kind, payload):
+            self.events.append(t)
+
+    def busy_link():
+        # three packets at t=0: 1 ms each, busy until 3 ms
+        link = FifoLink(LinkSpec(name="l", bandwidth_bps=8e6, delay_s=0.0,
+                                 limit=2), 1000)
+        for i in range(3):
+            assert link.offer(Sink(), Packet(0, i), 0)
+        return link
+
+    link = busy_link()
+    assert link.offer(Sink(), Packet(0, 3), 1 * ms)          # backlog 2 ms
+    link = busy_link()
+    assert not link.offer(Sink(), Packet(0, 3), 1 * ms - 1)  # 2 ms + 1 ns
+    assert link.drops == 1
+    link, sink = busy_link(), Sink()
+    assert link.offer(sink, Packet(0, 3), 3 * ms)            # backlog 0
+    assert sink.events == [4 * ms]
+
+
 def test_unknown_queue_type_rejected():
     scn = two_flow_scenario()
     bad = Scenario(links=(LinkSpec(name="x", bandwidth_bps=1e6, delay_s=0.01,

@@ -92,37 +92,21 @@ def test_analyze_trace_indeterminate_and_mixed_flow_error():
         analyze_trace(mixed)
 
 
-def test_analyze_trace_wire_only_skips_an_empty_window():
-    # three segments sent, then two more; the second ack covers them all,
-    # so the slow-start crossover window there would be 0
-    analysis = analyze_trace([
+def test_policing_rejects_a_trace_without_cwnd():
+    # segments sent and acked, but the sender's cwnd columns are empty
+    records = [
         rec(1, "data-sent", seq=0), rec(2, "data-sent", seq=1),
         rec(3, "data-sent", seq=2), rec(4, "ack-received", ack=1),
-        rec(5, "data-sent", seq=3), rec(6, "data-sent", seq=4),
-        rec(7, "ack-received", ack=5)])
-    assert analysis.slow_start_samples == 0
-    assert analysis.slow_start_n is None
-
-
-def test_analyze_trace_wire_only_estimates_coarsely():
-    # no cwnd columns at all: reconstruct in-flight from seq/ack; 40
-    # outstanding dropping to 30 across the loss reads as roughly N = 2
-    records = []
-    t = 0
-    for seq in range(40):
-        t += 100_000
-        records.append(rec(t, "data-sent", seq=seq))
-    for ack in range(1, 9):
-        t += 100_000
-        records.append(rec(t, "ack-received", ack=ack))     # in-flight 39..32
-    records.append(rec(t + 1, "loss-detected"))
-    for ack in (9, 10):
-        t += 100_000
-        records.append(rec(t, "ack-received", ack=ack))     # in-flight 31, 30
-    analysis = analyze_trace(records)
-    assert analysis.method == "decrease"
-    assert analysis.decrease_samples == 1
-    assert analysis.headline_n == pytest.approx(2.2, rel=0.2)
+        rec(5, "loss-detected"), rec(6, "ack-received", ack=3)]
+    with pytest.raises(ValueError, match="policing needs the sender's cwnd"):
+        analyze_trace(records)
+    decl = Declaration(flow_id=0, declared_n=2.0, start_ns=0, end_ns=10**9)
+    with pytest.raises(ValueError, match="cwnd columns are empty"):
+        verify_declaration(records, decl)
+    # an empty window is no evidence either way, not an error
+    assert analyze_trace([]).method == "indeterminate"
+    assert verify_declaration(records, Declaration(0, 2.0, 10, 20)).status \
+        == "unverifiable"
 
 
 def test_split_trace_groups_by_flow():
