@@ -69,28 +69,32 @@ class RedQueue:
     def enqueue(self, item: Any, now_ns: int) -> bool:
         """Offer one packet; returns True if admitted, False if dropped."""
         p = self.params
+        items = self.items
+        qlen = len(items)
         if self.idle_since_ns is not None:
             # queue was empty: decay the average over the idle gap
             m = (now_ns - self.idle_since_ns) / self.idle_pkt_time_ns
-            self.avg *= (1.0 - p.ewma_weight) ** m
+            avg = self.avg * (1.0 - p.ewma_weight) ** m
             self.idle_since_ns = None
         else:
-            self.avg += p.ewma_weight * (len(self.items) - self.avg)
+            avg = self.avg + p.ewma_weight * (qlen - self.avg)
+        self.avg = avg
 
-        if len(self.items) >= p.limit:
+        if qlen >= p.limit:
             return self._drop(now_ns)
-        if self.avg < p.thresh:
+        if avg < p.thresh:
             self.count = -1
-        elif self.avg >= p.maxthresh:
+        elif avg >= p.maxthresh:
             return self._drop(now_ns)
         else:
-            self.count += 1
-            pb = p.max_drop_prob * (self.avg - p.thresh) / (p.maxthresh - p.thresh)
+            count = self.count + 1
+            self.count = count
+            pb = p.max_drop_prob * (avg - p.thresh) / (p.maxthresh - p.thresh)
             # spread drops out: effective probability pb / (1 - count * pb)
-            if self.count * pb >= 1.0 or self.rng.random() < pb / (1.0 - self.count * pb):
+            if count * pb >= 1.0 or self.rng.random() < pb / (1.0 - count * pb):
                 return self._drop(now_ns)
 
-        self.items.append(item)
+        items.append(item)
         self.admitted += 1
         return True
 

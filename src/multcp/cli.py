@@ -296,7 +296,10 @@ def _cmd_police(args) -> int:
         print(f"flow {decl.flow_id} declared_n={decl.declared_n:g} "
               f"[{decl.start_ns},{decl.end_ns}): {report.status}"
               f"{observed} (method={report.method})")
-    print(f"bill over [{start_ns},{end_ns}) ns: {charge:.6f} weight-seconds")
+    amount = f"{charge:.6f}"
+    if charge and not float(amount):
+        amount = f"{charge:.6g}"    # a charge under 5e-7 would print as zero
+    print(f"bill over [{start_ns},{end_ns}) ns: {amount} weight-seconds")
     return 0
 
 

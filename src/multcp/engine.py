@@ -21,6 +21,12 @@ an arrival pushed before a transmit-complete sees that packet queued.
 Acks are 40 bytes, never queued and never dropped: the return path is
 pure delay, the sum of the forward links' propagation delays.
 
+Every event, whatever its kind, is pushed through Simulation.schedule,
+and the per-packet handlers (the links' offer, RedQueue.enqueue,
+TcpSender.on_ack and on_timer_check, TcpReceiver.on_data) are called as
+methods, looked up on their classes at each call.  A wrapper installed
+on a class therefore sees every event and every call.
+
 Each flow has at most one live retransmission-timer event, the one at
 `Flow._timer_event_ns`.  An earlier deadline pushes a new event and
 leaves the old one in the heap; that stale event is dropped unread when
@@ -29,10 +35,10 @@ it is popped (lazy deletion), so it neither checks nor re-arms the timer.
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from .aqm import RedParams, RedQueue
 from .tcp import TcpReceiver, TcpSender, TraceRecord
@@ -212,13 +218,14 @@ class FifoLink(_Link):
 
     def offer(self, sim: "Simulation", pkt: Packet, now_ns: int) -> bool:
         ser = self.ser_ns
-        if self.busy_until_ns - now_ns > self.limit * ser:
+        busy = self.busy_until_ns
+        if busy - now_ns > self.limit * ser:
             self.drops += 1
             return False
-        start = max(now_ns, self.busy_until_ns)
-        self.busy_until_ns = start + ser
+        busy = (busy if busy > now_ns else now_ns) + ser
+        self.busy_until_ns = busy
         self.bits_admitted += self.packet_bits
-        sim.schedule(self.busy_until_ns + self.delay_ns, _ARRIVAL, pkt)
+        sim.schedule(busy + self.delay_ns, _ARRIVAL, pkt)
         return True
 
     def delivered_bits(self, now_ns: int) -> float:
@@ -238,25 +245,21 @@ class RedLink(_Link):
         self.bits_forwarded = 0
 
     def offer(self, sim: "Simulation", pkt: Packet, now_ns: int) -> bool:
-        if not self.queue.enqueue(pkt, now_ns):
+        queue = self.queue
+        if not queue.enqueue(pkt, now_ns):
             return False
         if self.in_service is None:
-            self._begin_service(sim, now_ns)
+            # the link was idle, so the queue holds just this packet
+            self.in_service = queue.dequeue(now_ns)
+            sim.schedule(now_ns + self.ser_ns, _TX_DONE, self)
         return True
 
-    def _begin_service(self, sim: "Simulation", now_ns: int) -> None:
-        pkt = self.queue.dequeue(now_ns)
-        if pkt is None:
-            return
-        self.in_service = pkt
-        sim.schedule(now_ns + self.ser_ns, _TX_DONE, self)
-
     def on_tx_done(self, sim: "Simulation", now_ns: int) -> None:
-        pkt = self.in_service
-        self.in_service = None
         self.bits_forwarded += self.packet_bits
-        sim.schedule(now_ns + self.delay_ns, _ARRIVAL, pkt)
-        self._begin_service(sim, now_ns)
+        sim.schedule(now_ns + self.delay_ns, _ARRIVAL, self.in_service)
+        pkt = self.in_service = self.queue.dequeue(now_ns)
+        if pkt is not None:
+            sim.schedule(now_ns + self.ser_ns, _TX_DONE, self)
 
     def delivered_bits(self, now_ns: int) -> float:
         return float(self.bits_forwarded)
@@ -270,6 +273,7 @@ class Flow:
         self.flow_id = flow_id
         self.spec = spec
         self.route = route
+        self.hops = len(route)
         self.payload_bytes = payload_bytes
         self.reverse_delay_ns = sum(l.delay_ns for l in route)
         self.base_rtt_ns = sum(l.ser_ns + l.delay_ns for l in route) \
@@ -335,48 +339,48 @@ class Simulation:
         if time_ns < self.clock_ns:
             raise SimulationError(
                 f"event scheduled in the past ({time_ns} < {self.clock_ns})")
-        heapq.heappush(self._heap, (time_ns, self._eseq, kind, payload))
-        self._eseq += 1
+        eseq = self._eseq
+        heappush(self._heap, (time_ns, eseq, kind, payload))
+        self._eseq = eseq + 1
 
     def run_until(self, t_s: float) -> "Simulation":
         """Process every event with time <= t_s, then park the clock there."""
         end_ns = ns_from_s(t_s)
         heap = self._heap
-        heappop = heapq.heappop
+        flows = self.flows
+        send = self._send
         while heap and heap[0][0] <= end_ns:
             time_ns, _, kind, payload = heappop(heap)
             self.clock_ns = time_ns
             if kind == _ARRIVAL:
-                self._on_arrival(payload, time_ns)
-            elif kind == _ACK_ARRIVAL:
-                flow_id, ack, blocks = payload
-                flow = self.flows[flow_id]
-                self._send(flow, flow.sender.on_ack(ack, blocks, time_ns), time_ns)
+                # a data packet crossed a link: on to the next, or delivered
+                flow = flows[payload.flow_id]
+                hop = payload.hop = payload.hop + 1
+                if hop < flow.hops:
+                    if not flow.route[hop].offer(self, payload, time_ns):
+                        flow.drops += 1
+                else:
+                    ack, blocks = flow.receiver.on_data(payload.seq)
+                    self.schedule(time_ns + flow.reverse_delay_ns, _ACK_ARRIVAL,
+                                  (payload.flow_id, ack, blocks))
             elif kind == _TX_DONE:
                 payload.on_tx_done(self, time_ns)
+            elif kind == _ACK_ARRIVAL:
+                flow_id, ack, blocks = payload
+                flow = flows[flow_id]
+                send(flow, flow.sender.on_ack(ack, blocks, time_ns), time_ns)
             elif kind == _TIMER:
                 self._on_timer(payload, time_ns)
             elif kind == _FLOW_START:
-                flow = self.flows[payload]
-                self._send(flow, flow.sender.start(time_ns), time_ns)
+                flow = flows[payload]
+                send(flow, flow.sender.start(time_ns), time_ns)
             elif kind == _FLOW_STOP:
-                self.flows[payload].sender.active = False
+                flows[payload].sender.active = False
         if end_ns > self.clock_ns:
             self.clock_ns = end_ns
         return self
 
     # -- handlers ---------------------------------------------------------
-
-    def _on_arrival(self, pkt: Packet, now_ns: int) -> None:
-        flow = self.flows[pkt.flow_id]
-        pkt.hop += 1
-        if pkt.hop < len(flow.route):
-            if not flow.route[pkt.hop].offer(self, pkt, now_ns):
-                flow.drops += 1
-            return
-        ack, blocks = flow.receiver.on_data(pkt.seq)
-        self.schedule(now_ns + flow.reverse_delay_ns, _ACK_ARRIVAL,
-                      (pkt.flow_id, ack, tuple(blocks)))
 
     def _on_timer(self, flow: Flow, now_ns: int) -> None:
         if now_ns != flow._timer_event_ns:
@@ -386,12 +390,14 @@ class Simulation:
 
     def _send(self, flow: Flow, sends: list[int], now_ns: int) -> None:
         """Offer the sender's segments to the first link, then arm its timer."""
-        for seq in sends:
-            if not flow.route[0].offer(self, Packet(flow.flow_id, seq), now_ns):
-                flow.drops += 1
+        if sends:
+            first, flow_id = flow.route[0], flow.flow_id
+            for seq in sends:
+                if not first.offer(self, Packet(flow_id, seq), now_ns):
+                    flow.drops += 1
         deadline = flow.sender.timer_deadline_ns
-        if deadline is not None and (flow._timer_event_ns is None
-                                     or deadline < flow._timer_event_ns):
+        live = flow._timer_event_ns
+        if deadline is not None and (live is None or deadline < live):
             self.schedule(deadline, _TIMER, flow)
             flow._timer_event_ns = deadline
 

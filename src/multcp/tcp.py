@@ -157,9 +157,6 @@ class _IntervalSet:
         self.ends: list[int] = []
         self.total = 0
 
-    def __len__(self) -> int:
-        return len(self.starts)
-
     def __contains__(self, x: int) -> bool:
         i = bisect_right(self.starts, x)
         return i > 0 and x < self.ends[i - 1]
@@ -168,26 +165,40 @@ class _IntervalSet:
         """Insert [a, b); returns the sub-ranges that were actually new."""
         if a >= b:
             return []
-        i = bisect_right(self.starts, a)
-        if i > 0 and self.ends[i - 1] >= a:
-            i -= 1      # overlaps or touches from the left
-        j = i
+        starts, ends = self.starts, self.ends
+        i = bisect_right(starts, a)
+        if i and ends[i - 1] >= a:
+            if ends[i - 1] >= b:
+                return []   # already covered
+            i -= 1          # overlaps or touches from the left
+        # merge every range from i that overlaps or touches [a, b)
+        n = len(starts)
         new_ranges: list[tuple[int, int]] = []
+        added = 0
         cursor = a
-        start_new, end_new = a, b
-        while j < len(self.starts) and self.starts[j] <= b:
-            s, e = self.starts[j], self.ends[j]
+        j = i
+        while j < n and starts[j] <= b:
+            s = starts[j]
             if s > cursor:
-                new_ranges.append((cursor, min(s, b)))
-            cursor = max(cursor, e)
-            start_new = min(start_new, s)
-            end_new = max(end_new, e)
+                new_ranges.append((cursor, s))
+                added += s - cursor
+            e = ends[j]
+            if e > cursor:
+                cursor = e
             j += 1
         if cursor < b:
             new_ranges.append((cursor, b))
-        self.starts[i:j] = [start_new]
-        self.ends[i:j] = [end_new]
-        self.total += sum(e - s for s, e in new_ranges)
+            added += b - cursor
+        if j == i:
+            starts.insert(i, a)
+            ends.insert(i, b)
+        else:
+            if starts[i] > a:
+                starts[i] = a
+            ends[i] = cursor if cursor > b else b
+            del starts[i + 1:j]
+            del ends[i + 1:j]
+        self.total += added
         return new_ranges
 
     def prune_below(self, cutoff: int) -> None:
@@ -210,19 +221,8 @@ class _IntervalSet:
             total += min(self.ends[k], x) - self.starts[k]
         return total
 
-    def first_range(self) -> tuple[int, int] | None:
-        if not self.starts:
-            return None
-        return self.starts[0], self.ends[0]
-
     def ranges(self) -> list[tuple[int, int]]:
         return list(zip(self.starts, self.ends))
-
-    def range_containing(self, x: int) -> tuple[int, int] | None:
-        i = bisect_right(self.starts, x)
-        if i > 0 and x < self.ends[i - 1]:
-            return self.starts[i - 1], self.ends[i - 1]
-        return None
 
 
 class TcpReceiver:
@@ -237,29 +237,46 @@ class TcpReceiver:
 
     def on_data(self, seq: int) -> tuple[int, list[tuple[int, int]]]:
         """Accept one segment, return (cumulative ack, sack blocks)."""
-        if seq < self.cum_ack or seq in self.pending:
+        pending = self.pending
+        starts, ends = pending.starts, pending.ends
+        cum_ack = self.cum_ack
+        held = -1       # index of the pending range that holds seq
+        if seq == cum_ack:
+            # every pending range lies above cum_ack, so seq is new
+            self.segments_received += 1
+            cum_ack += 1
+            if starts and starts[0] == cum_ack:
+                cum_ack = ends[0]
+                pending.prune_below(cum_ack)
+            self.cum_ack = cum_ack
+        elif seq < cum_ack:
             self.duplicates += 1
-        elif seq == self.cum_ack:
-            self.segments_received += 1
-            self.cum_ack += 1
-            head = self.pending.first_range()
-            if head is not None and head[0] == self.cum_ack:
-                self.cum_ack = head[1]
-                self.pending.prune_below(self.cum_ack)
         else:
-            self.segments_received += 1
-            self.pending.add_range(seq, seq + 1)
+            i = bisect_right(starts, seq)
+            if i and seq < ends[i - 1]:
+                self.duplicates += 1
+                held = i - 1
+            else:
+                self.segments_received += 1
+                pending.add_range(seq, seq + 1)
+                # seq joined the range on its left, or starts range i
+                held = i - 1 if i and ends[i - 1] > seq else i
 
         blocks: list[tuple[int, int]] = []
-        if self.sack_enabled and len(self.pending):
-            # most recently changed block first, then the rest, max four
-            recent = self.pending.range_containing(seq)
-            if recent is not None:
-                blocks.append(recent)
-            for rng in reversed(self.pending.ranges()):
-                if rng != recent and len(blocks) < 4:
-                    blocks.append(rng)
-        return self.cum_ack, blocks
+        if self.sack_enabled and starts:
+            # the range holding seq first, then the rest from the highest
+            # down, at most four in all
+            room = 4
+            if held >= 0:
+                blocks.append((starts[held], ends[held]))
+                room = 3
+            k = len(starts)
+            while room and k:
+                k -= 1
+                if k != held:
+                    blocks.append((starts[k], ends[k]))
+                    room -= 1
+        return cum_ack, blocks
 
 
 class TcpSender:
@@ -331,7 +348,10 @@ class TcpSender:
             # Count only the transmission window: after a timeout rewind the
             # scoreboard may hold blocks at or above next_seq, and subtracting
             # those would underflow the estimate and mis-disarm the timer.
-            out -= self.sacked.count_below(self.next_seq) + len(self.lost)
+            if self.sacked.total:
+                out -= self.sacked.count_below(self.next_seq)
+            if self.lost:
+                out -= len(self.lost)
         return out
 
     def done(self) -> bool:
@@ -348,47 +368,60 @@ class TcpSender:
         sends: list[int] = []
         if not self.active:
             return sends
-        extra = 0
+        window = int(self.state.cwnd)
         if self._renoish and not self.in_recovery:
-            extra = min(self.dupacks, 2)    # limited transmit
-        window = min(int(self.state.cwnd) + extra, self.advertised)
+            window += min(self.dupacks, 2)      # limited transmit
+        if window > self.advertised:
+            window = self.advertised
         # Every emitted segment raises in_flight() by one; skipping a sacked
         # segment advances next_seq and the sacked count below it together.
         in_flight = self.in_flight()
+        if in_flight >= window:
+            return sends
+        sack, sacked, lost = self._sack, self.sacked, self.lost
+        bulk = self.bulk_segments
+        next_seq, highest_sent = self.next_seq, self.highest_sent
         while in_flight < window:
-            if self._sack and self.lost:
-                seq = min(self.lost)
-                self.lost.discard(seq)
-                self.retx_marked[seq] = self.next_seq
-                self._emit(sends, seq, True, now_ns)
+            if sack and lost:
+                seq = min(lost)
+                lost.discard(seq)
+                self.retx_marked[seq] = next_seq
+                self._retransmit(sends, seq, now_ns)
                 in_flight += 1
                 continue
-            if self.bulk_segments is not None and self.next_seq >= self.bulk_segments:
+            if bulk is not None and next_seq >= bulk:
                 break
-            seq = self.next_seq
-            self.next_seq += 1
-            if self._sack and seq in self.sacked:
+            seq = next_seq
+            next_seq += 1
+            if sack and sacked.total and seq in sacked:
                 continue    # receiver already holds it (post-timeout resend)
-            is_retx = seq <= self.highest_sent
-            if is_retx and self._sack:
-                self.retx_marked[seq] = self.next_seq
-            self._emit(sends, seq, is_retx, now_ns)
+            if seq <= highest_sent:
+                if sack:
+                    self.retx_marked[seq] = next_seq
+                self._retransmit(sends, seq, now_ns)
+            else:
+                sends.append(seq)
+                self.segments_sent += 1
+                highest_sent = seq
+                if self._timing_seq is None:
+                    self._timing_seq = seq
+                    self._timing_sent_ns = now_ns
+                if self.timer_deadline_ns is None:
+                    self.timer_deadline_ns = now_ns + self._effective_rto()
+                if self.trace is not None:
+                    cwnd = self.state.cwnd
+                    self._record(now_ns, DATA_SENT, cwnd, cwnd, seq)
             in_flight += 1
+        self.next_seq = next_seq
+        self.highest_sent = highest_sent
         return sends
 
-    def _emit(self, sends: list[int], seq: int, is_retx: bool,
-              now_ns: int) -> None:
+    def _retransmit(self, sends: list[int], seq: int, now_ns: int) -> None:
         sends.append(seq)
         self.segments_sent += 1
-        if is_retx:
-            self.retransmits += 1
-            if seq == self._timing_seq:
-                self._timing_seq = None     # Karn: never time a retransmission
-        else:
-            self.highest_sent = max(self.highest_sent, seq)
-            if self._timing_seq is None:
-                self._timing_seq = seq
-                self._timing_sent_ns = now_ns
+        self.retransmits += 1
+        if seq == self._timing_seq:
+            self._timing_seq = None     # Karn: never time a retransmission
         if self.timer_deadline_ns is None:
             self.timer_deadline_ns = now_ns + self._effective_rto()
         if self.trace is not None:
@@ -401,31 +434,35 @@ class TcpSender:
                now_ns: int) -> list[int]:
         """Process one ack; returns segments to transmit right now."""
         sends: list[int] = []
+        sack = self._sack
 
-        if self._sack:
+        if sack and sack_blocks:
+            cum_ack, sacked, lost = self.cum_ack, self.sacked, self.lost
             for a, b in sack_blocks:
-                a = max(a, self.cum_ack)
+                if a < cum_ack:
+                    a = cum_ack
                 if a >= b:
                     continue
-                new_ranges = self.sacked.add_range(a, b)
-                if self.lost:
+                new_ranges = sacked.add_range(a, b)
+                if lost:
                     for ga, gb in new_ranges:
                         for x in range(ga, gb):
-                            self.lost.discard(x)
+                            lost.discard(x)
 
         if ack > self.cum_ack:
             self._on_advance(ack, now_ns, sends)
         elif ack == self.cum_ack and self.next_seq > self.cum_ack:
             self._on_duplicate(now_ns, sends)
 
-        if self._sack:
-            self.update_scoreboard()
-            if (not self.in_recovery and not self.lost and self.sacked.total
-                    and self.cum_ack not in self.retx_marked
-                    and self.in_flight() == 1):
-                # early retransmit: every outstanding segment except the head
-                # hole is sacked, so no further dupacks are coming
-                self.lost.add(self.cum_ack)
+        if sack:
+            if self.sacked.total:
+                self.update_scoreboard()
+                if (not self.in_recovery and not self.lost
+                        and self.cum_ack not in self.retx_marked
+                        and self.in_flight() == 1):
+                    # early retransmit: every outstanding segment except the
+                    # head hole is sacked, so no further dupacks are coming
+                    self.lost.add(self.cum_ack)
             if not self.in_recovery and self.lost:
                 # scoreboard says data is missing even without three dupacks
                 self._enter_recovery(now_ns, sends)
@@ -442,7 +479,8 @@ class TcpSender:
         if self.next_seq < ack:
             self.next_seq = ack     # catch up after a timeout rewind
         if self._sack:
-            self.sacked.prune_below(ack)
+            if self.sacked.total:
+                self.sacked.prune_below(ack)
             if self.lost:
                 for s in [s for s in self.lost if s < ack]:
                     self.lost.discard(s)
@@ -462,7 +500,7 @@ class TcpSender:
                 self._exit_recovery(now_ns, sends)
             elif self.variant == "newreno":
                 # partial ack: the next hole is known lost, repair it now
-                self._emit(sends, self.cum_ack, True, now_ns)
+                self._retransmit(sends, self.cum_ack, now_ns)
                 st.cwnd = max(1.0, st.cwnd - newly + 1.0)
             elif self.variant == "reno":
                 self._exit_recovery(now_ns, sends)
@@ -478,7 +516,8 @@ class TcpSender:
                 self._record(now_ns, ACK_RECEIVED, before, st.cwnd, None, ack)
 
         if self.cum_ack < self.next_seq:
-            self.timer_deadline_ns = now_ns + self._effective_rto()
+            # backoff is 0 again, so the effective rto is rto_ns itself
+            self.timer_deadline_ns = now_ns + self.rto_ns
         else:
             self.timer_deadline_ns = None
 
@@ -529,7 +568,7 @@ class TcpSender:
                 self.lost.add(self.cum_ack)
         else:
             st.cwnd = float(st.ssthresh) + DUPACK_THRESHOLD  # inflate for the three dupacks
-            self._emit(sends, self.cum_ack, True, now_ns)
+            self._retransmit(sends, self.cum_ack, now_ns)
 
     def update_scoreboard(self) -> None:
         """Mark a hole lost once the highest sack sits three segments past it."""
@@ -537,20 +576,22 @@ class TcpSender:
             return
         # Never mark beyond next_seq: after a timeout rewind the region above
         # it is handled by the ordinary resend path, not by hole repair.
-        threshold = min(self.sacked.ends[-1] - 3, self.next_seq)
-        start = max(self.cum_ack, self._loss_scan_floor)
-        for s in range(start, threshold):
-            if s not in self.sacked and s not in self.retx_marked:
-                self.lost.add(s)
-        if threshold > self._loss_scan_floor:
+        sacked, lost, retx_marked = self.sacked, self.lost, self.retx_marked
+        floor = self._loss_scan_floor
+        threshold = min(sacked.ends[-1] - 3, self.next_seq)
+        for s in range(max(self.cum_ack, floor), threshold):
+            if s not in sacked and s not in retx_marked:
+                lost.add(s)
+        if threshold > floor:
             self._loss_scan_floor = threshold
-        # A retransmission overtaken by three later sacks was lost as well.
-        sacked_total = self.sacked.total
-        for s, boundary in list(self.retx_marked.items()):
-            if sacked_total - self.sacked.count_below(boundary) >= DUPACK_THRESHOLD:
-                del self.retx_marked[s]
-                if s not in self.sacked:
-                    self.lost.add(s)
+        if retx_marked:
+            # A retransmission overtaken by three later sacks was lost as well.
+            sacked_total = sacked.total
+            for s, boundary in list(retx_marked.items()):
+                if sacked_total - sacked.count_below(boundary) >= DUPACK_THRESHOLD:
+                    del retx_marked[s]
+                    if s not in sacked:
+                        lost.add(s)
 
     # -- timer ------------------------------------------------------------
 

@@ -436,6 +436,24 @@ def test_police_overlapping_declarations_print_no_verdicts(tmp_path, capsys):
     assert lines == ["error: overlapping declarations for flow 0"]
 
 
+@pytest.mark.parametrize("window, printed", [
+    ((5, 9), "8e-09"),                  # N=2 over 4 ns
+    ((0, 249), "4.98e-07"),
+    ((0, 250), "5e-07"),                # the float 5e-7 lies just below 5e-7
+    ((0, 251), "0.000001"),
+    ((0, 10**9), "2.000000"),
+])
+def test_police_bill_keeps_a_tiny_charge(tmp_path, capsys, window, printed):
+    trace = tmp_path / "trace.csv"
+    decls = tmp_path / "decls.csv"
+    write_trace_csv(compliant_trace(2.0), trace)
+    write_declarations_csv([Declaration(0, 2.0, *window)], decls)
+    rc = main(["police", "--trace", str(trace), "--declarations", str(decls)])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == (f"bill over [{window[0]},{window[1]}) ns: "
+                         f"{printed} weight-seconds")
+
 def test_police_bad_period(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     decls = tmp_path / "decls.csv"

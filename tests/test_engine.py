@@ -1,16 +1,17 @@
 """Event engine: links, scheduling, determinism, conservation."""
 
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multcp.aqm import RedParams
-from multcp.engine import (_TIMER, FifoLink, FlowSpec, LinkSpec, Packet,
-                           Scenario, Simulation, SimulationError, ns_from_s,
-                           s_from_ns)
+from multcp.aqm import RedParams, RedQueue
+from multcp.engine import (_TIMER, FifoLink, Flow, FlowSpec, LinkSpec, Packet,
+                           RedLink, Scenario, Simulation, SimulationError,
+                           ns_from_s, s_from_ns)
 from multcp.harness import DumbbellParams, build_dumbbell, run_scenario
-from multcp.tcp import VARIANTS
+from multcp.tcp import VARIANTS, TcpReceiver, TcpSender
 
 
 def two_flow_scenario(seed=0, queue="red", duration=8.0, **red_kw):
@@ -295,3 +296,64 @@ def test_invariants_hold_at_random_cut_points(data):
             assert flow.sender.state.cwnd >= 1.0
     whole = Simulation(scenario).run_until(duration)
     assert run_state(pieces) == run_state(whole)
+
+
+# Events pushed per kind, and calls of each per-packet entry point, on the
+# short golden dumbbell (4 flows, 12 s, seed 7), as recorded before the
+# per-packet path was trimmed.  The benchmark counts events by replacing
+# Simulation.schedule and times these entry points by replacing them on
+# their classes, so every event and call must still go through there.
+EVENTS_AND_CALLS = {
+    "sack": ({"arrival": 25050, "ack": 12388, "tx_done": 12414, "timer": 260,
+              "other": 4},
+             {"FifoLink.offer": 12637, "RedLink.offer": 12620,
+              "RedQueue.enqueue": 12620, "TcpSender.on_ack": 12339,
+              "TcpSender.on_timer_check": 247, "TcpReceiver.on_data": 12388}),
+    "tahoe": ({"arrival": 18916, "ack": 9338, "tx_done": 9347, "timer": 278,
+               "other": 4},
+              {"FifoLink.offer": 9569, "RedLink.offer": 9550,
+               "RedQueue.enqueue": 9550, "TcpSender.on_ack": 9289,
+               "TcpSender.on_timer_check": 266, "TcpReceiver.on_data": 9338}),
+    "reno": ({"arrival": 19021, "ack": 9432, "tx_done": 9438, "timer": 264,
+              "other": 4},
+             {"FifoLink.offer": 9583, "RedLink.offer": 9572,
+              "RedQueue.enqueue": 9572, "TcpSender.on_ack": 9393,
+              "TcpSender.on_timer_check": 244, "TcpReceiver.on_data": 9432}),
+    "newreno": ({"arrival": 21898, "ack": 10812, "tx_done": 10838,
+                 "timer": 232, "other": 4},
+                {"FifoLink.offer": 11061, "RedLink.offer": 11043,
+                 "RedQueue.enqueue": 11043, "TcpSender.on_ack": 10792,
+                 "TcpSender.on_timer_check": 202,
+                 "TcpReceiver.on_data": 10812}),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(EVENTS_AND_CALLS))
+def test_events_per_kind_and_calls_per_entry_point(variant, monkeypatch):
+    kinds = {Packet: "arrival", tuple: "ack", RedLink: "tx_done",
+             Flow: "timer"}
+    events, calls = Counter(), Counter()
+
+    def count(owner, name, counter, label):
+        original = vars(owner)[name]
+
+        def wrapper(*args):
+            counter[label(args)] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    count(Simulation, "schedule", events,
+          lambda args: kinds.get(type(args[3]), "other"))
+    for owner, name in ((FifoLink, "offer"), (RedLink, "offer"),
+                        (RedQueue, "enqueue"), (TcpSender, "on_ack"),
+                        (TcpSender, "on_timer_check"),
+                        (TcpReceiver, "on_data")):
+        key = f"{owner.__name__}.{name}"
+        count(owner, name, calls, lambda args, key=key: key)
+
+    params = DumbbellParams(duration_s=12.0, warmup_s=2.0)
+    run_scenario(build_dumbbell(4, params, variant=variant,
+                                weights=[3.0, 1.0, 1.0, 1.0], seed=7,
+                                trace=True))
+    assert (dict(events), dict(calls)) == EVENTS_AND_CALLS[variant]

@@ -111,6 +111,34 @@ def test_interval_set_tracks_a_plain_set(points, cutoff):
         sorted(x for x in ref if x >= cutoff)
 
 
+def runs(values):
+    """Maximal runs of consecutive integers, as half-open ranges."""
+    out = []
+    for x in sorted(values):
+        if out and out[-1][1] == x:
+            out[-1] = (out[-1][0], x + 1)
+        else:
+            out.append((x, x + 1))
+    return out
+
+
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(-1, 9)),
+                min_size=1, max_size=30))
+def test_add_range_of_any_width_tracks_a_plain_set(inserts):
+    # small widths over a small span: inserts overlap, touch on either
+    # side, bridge several ranges or fall inside one already held
+    s = _IntervalSet()
+    ref = set()
+    for a, width in inserts:
+        b = a + width
+        assert s.add_range(a, b) == runs(set(range(a, b)) - ref)
+        ref.update(range(a, b))
+        assert s.total == len(ref)
+        assert s.ranges() == runs(ref)
+        assert all(a < b for a, b in s.ranges())
+        assert all(e < s2 for e, s2 in zip(s.ends, s.starts[1:]))
+
+
 # -- receiver --------------------------------------------------------------
 
 def test_receiver_cumulative_and_gap():
@@ -138,6 +166,44 @@ def test_receiver_sack_disabled_means_no_blocks():
     r.on_data(3)
     ack, blocks = r.on_data(5)
     assert blocks == []
+
+
+class ReferenceReceiver:
+    """The receiver's rule on a plain set of segments held above the ack."""
+
+    def __init__(self, sack_enabled):
+        self.sack_enabled = sack_enabled
+        self.cum_ack = 0
+        self.held = set()
+        self.segments_received = 0
+        self.duplicates = 0
+
+    def on_data(self, seq):
+        if seq < self.cum_ack or seq in self.held:
+            self.duplicates += 1
+        else:
+            self.segments_received += 1
+            self.held.add(seq)
+            while self.cum_ack in self.held:
+                self.held.remove(self.cum_ack)
+                self.cum_ack += 1
+        if not self.sack_enabled:
+            return self.cum_ack, []
+        # the block holding seq first, then the rest from the highest down,
+        # at most four in all
+        blocks = runs(self.held)
+        first = [r for r in blocks if r[0] <= seq < r[1]]
+        rest = [r for r in reversed(blocks) if r not in first]
+        return self.cum_ack, (first + rest)[:4]
+
+
+@given(st.lists(st.integers(0, 30), min_size=1, max_size=60), st.booleans())
+def test_receiver_matches_the_reference_rule(arrivals, sack):
+    r, ref = TcpReceiver(sack_enabled=sack), ReferenceReceiver(sack)
+    for seq in arrivals:
+        assert r.on_data(seq) == ref.on_data(seq)
+        assert (r.cum_ack, r.duplicates, r.segments_received) == \
+            (ref.cum_ack, ref.duplicates, ref.segments_received)
 
 
 # -- sender/receiver loop --------------------------------------------------
