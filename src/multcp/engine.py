@@ -103,6 +103,9 @@ class LinkSpec:
         if self.limit < 1:
             raise ValueError(f"link {self.name!r}: limit must be at least 1, "
                              f"got {self.limit!r}")
+        if self.queue not in ("fifo", "red"):
+            raise ValueError(f"link {self.name!r}: queue must be fifo or red, "
+                             f"got {self.queue!r}")
 
 
 @dataclass(frozen=True)
@@ -171,6 +174,10 @@ class Scenario:
                 raise ValueError(f"link {link.name!r}: one payload's time on the "
                                  "wire rounds to 0 ns")
         for i, flow in enumerate(self.flows):
+            for name in flow.route:
+                if name not in names:
+                    raise ValueError(f"flow {i}: route names unknown link "
+                                     f"{name!r}")
             if flow.advertised_bytes is not None and \
                     not flow.advertised_bytes >= self.payload_bytes:
                 raise ValueError(f"flow {i}: advertised_bytes must be at least "
@@ -311,16 +318,11 @@ class Simulation:
                 params = spec.red if spec.red is not None else scenario.red
                 self.links[spec.name] = RedLink(spec, scenario.payload_bytes,
                                                 params, self.rng)
-            elif spec.queue == "fifo":
-                self.links[spec.name] = FifoLink(spec, scenario.payload_bytes)
             else:
-                raise SimulationError(f"unknown queue type {spec.queue!r}")
+                self.links[spec.name] = FifoLink(spec, scenario.payload_bytes)
 
         self.flows: list[Flow] = []
         for i, fs in enumerate(scenario.flows):
-            for name in fs.route:
-                if name not in self.links:
-                    raise SimulationError(f"flow {i} routes over unknown link {name!r}")
             route = [self.links[name] for name in fs.route]
             self.flows.append(Flow(i, fs, route, scenario.payload_bytes, self.trace))
 

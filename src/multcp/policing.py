@@ -256,26 +256,14 @@ _TRACE_FIELDS = attrgetter(*TRACE_COLUMNS)
 
 
 def _trace_lines(records):
-    """Each record's CSV line, reusing a flow's last cwnd text.
-
-    A data-sent record carries one float object twice, and a record's
-    cwnd_before is usually its flow's last cwnd_after object, so one
-    repr per new object covers most cwnd fields.
-    """
-    last_after: dict[int, tuple[float | None, str]] = {}   # flow -> cwnd, text
+    """Each record's CSV line."""
     for time_ns, flow_id, event, before, after, seq, ack in map(_TRACE_FIELDS,
                                                                  records):
         if event not in _EVENT_NAMES:
             raise _unknown_event(event)
-        prev, before_text = last_after.get(flow_id, (None, ""))
-        if before is not prev:
-            before_text = "" if before is None else repr(before)
-        if after is before:
-            after_text = before_text
-        else:
-            after_text = "" if after is None else repr(after)
-        last_after[flow_id] = (after, after_text)
-        yield (f"{time_ns},{flow_id},{event},{before_text},{after_text},"
+        yield (f"{time_ns},{flow_id},{event},"
+               f"{'' if before is None else repr(before)},"
+               f"{'' if after is None else repr(after)},"
                f"{'' if seq is None else seq},{'' if ack is None else ack}\r\n")
 
 
@@ -283,53 +271,29 @@ def read_trace_csv(path) -> list[TraceRecord]:
     """Read a trace CSV; a bad row raises ValueError naming file and line.
 
     Rows must have seven fields, integer time/flow/seq/ack, a known
-    event name and finite (or empty) cwnd values.  A time equal in text
-    to the previous row's, a cwnd_before equal to its flow's last
-    cwnd_after and a cwnd_after equal to cwnd_before share one object.
+    event name and finite (or empty) cwnd values.  data-sent rows, which
+    older traces hold for each sent segment, are read like any other.
     """
-    return read_csv(path, TRACE_COLUMNS, "trace", _trace_parser())
+    return read_csv(path, TRACE_COLUMNS, "trace", _trace_parser)
 
 
-def _trace_parser():
-    """A row parser for read_trace_csv that shares values whose text repeats.
+def _trace_parser(row: list[str]) -> TraceRecord:
+    """One trace CSV row as a record, for read_trace_csv.
 
-    It keeps the last time and, per flow text, the flow id and the last
-    cwnd_after, never a table keyed by value; a shared value was checked
-    when it was first parsed.  Faults are reported in the order event,
-    cwnd_before, cwnd_after, finiteness, time, flow, seq, ack.
+    Faults are reported in the order event, cwnd_before, cwnd_after,
+    finiteness, time, flow, seq, ack.
     """
-    last_time: tuple[str | None, int] = (None, 0)
-    flows: dict[str, tuple[int, str, float | None]] = {}  # text -> id, cwnd
-
-    def parse(row: list[str]) -> TraceRecord:
-        nonlocal last_time
-        time_ns, flow_text, event, before_text, after_text, seq, ack = row
-        kind = _EVENT_NAMES.get(event)
-        if kind is None:
-            raise _unknown_event(event)
-        flow = flows.get(flow_text)
-        fresh_before = flow is None or before_text != flow[1]
-        if fresh_before:
-            before = float(before_text) if before_text else None
-        else:
-            before = flow[2]
-        fresh_after = after_text != before_text
-        if fresh_after:
-            after = float(after_text) if after_text else None
-        else:
-            after = before
-        if (fresh_before and before is not None and not math.isfinite(before)
-                or fresh_after and after is not None
-                and not math.isfinite(after)):
-            raise ValueError(f"non-finite cwnd {row[3:5]!r}")
-        if time_ns != last_time[0]:
-            last_time = (time_ns, int(time_ns))
-        flow_id = int(flow_text) if flow is None else flow[0]
-        flows[flow_text] = (flow_id, after_text, after)
-        return TraceRecord(last_time[1], flow_id, kind, before, after,
-                           int(seq) if seq else None, int(ack) if ack else None)
-
-    return parse
+    time_ns, flow_id, event, before_text, after_text, seq, ack = row
+    kind = _EVENT_NAMES.get(event)
+    if kind is None:
+        raise _unknown_event(event)
+    before = float(before_text) if before_text else None
+    after = float(after_text) if after_text else None
+    if (before is not None and not math.isfinite(before)
+            or after is not None and not math.isfinite(after)):
+        raise ValueError(f"non-finite cwnd {row[3:5]!r}")
+    return TraceRecord(int(time_ns), int(flow_id), kind, before, after,
+                       int(seq) if seq else None, int(ack) if ack else None)
 
 
 def write_declarations_csv(declarations, target) -> None:

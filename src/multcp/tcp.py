@@ -30,7 +30,9 @@ RTO_MAX_NS = 60_000_000_000
 RTO_GRANULARITY_NS = 1_000_000
 DUPACK_THRESHOLD = 3
 
-# trace event names; readers map parsed names onto these shared strings
+# trace event names; readers map parsed names onto these shared strings.
+# The sender records the last three; DATA_SENT stays so that older traces,
+# which hold a row per sent segment, still read.
 DATA_SENT = "data-sent"
 ACK_RECEIVED = "ack-received"
 LOSS_DETECTED = "loss-detected"
@@ -110,11 +112,11 @@ def on_timeout(state: CongestionState) -> None:
 class TraceRecord:
     """One line of a connection trace, as written to trace CSV files.
 
-    Slotted: a long traced run holds one record per ack and per sent
-    segment, so records carry no per-instance __dict__.  For the same
-    reason __init__ sets the slots through their own descriptors, about
-    twice as fast as the frozen dataclass __init__, which makes one
-    object.__setattr__ call per field.
+    Slotted: a long traced run holds one record per window-growing ack,
+    loss episode and timeout, so records carry no per-instance __dict__.
+    For the same reason __init__ sets the slots through their own
+    descriptors, about twice as fast as the frozen dataclass __init__,
+    which makes one object.__setattr__ call per field.
     """
 
     time_ns: int
@@ -408,9 +410,6 @@ class TcpSender:
                     self._timing_sent_ns = now_ns
                 if self.timer_deadline_ns is None:
                     self.timer_deadline_ns = now_ns + self._effective_rto()
-                if self.trace is not None:
-                    cwnd = self.state.cwnd
-                    self._record(now_ns, DATA_SENT, cwnd, cwnd, seq)
             in_flight += 1
         self.next_seq = next_seq
         self.highest_sent = highest_sent
@@ -424,9 +423,6 @@ class TcpSender:
             self._timing_seq = None     # Karn: never time a retransmission
         if self.timer_deadline_ns is None:
             self.timer_deadline_ns = now_ns + self._effective_rto()
-        if self.trace is not None:
-            cwnd = self.state.cwnd
-            self._record(now_ns, DATA_SENT, cwnd, cwnd, seq)
 
     # -- ack processing ---------------------------------------------------
 
@@ -513,7 +509,7 @@ class TcpSender:
             else:
                 on_ack_congestion_avoidance(st)
             if self.trace is not None:
-                self._record(now_ns, ACK_RECEIVED, before, st.cwnd, None, ack)
+                self._record(now_ns, ACK_RECEIVED, before, st.cwnd, ack)
 
         if self.cum_ack < self.next_seq:
             # backoff is 0 again, so the effective rto is rto_ns itself
@@ -644,7 +640,7 @@ class TcpSender:
     # -- trace ------------------------------------------------------------
 
     def _record(self, now_ns: int, event: str, before: float, after: float,
-                seq: int | None = None, ack: int | None = None) -> None:
+                ack: int | None = None) -> None:
         if self.trace is not None:
             self.trace.append(TraceRecord(now_ns, self.flow_id, event,
-                                          before, after, seq, ack))
+                                          before, after, None, ack))

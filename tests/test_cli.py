@@ -116,6 +116,12 @@ def test_simulate_stdout_matches_output_file(tmp_path, capsysbinary):
      "link 'bn': one payload's time on the wire rounds to 0 ns"),
     ("acc", "bandwidth", 1.0e300,
      "link 'acc': one payload's time on the wire rounds to 0 ns"),
+    # checked by the loader, so the error names the entry at fault
+    ("links", "queue", "blue",
+     "error: links[0]: link 'bn': queue must be fifo or red, got 'blue'"),
+    pytest.param("flows", "route", ["acc", "nowhere"],
+                 "error: flow 0: route names unknown link 'nowhere'",
+                 id="flows-route-nowhere-unknown link"),
 ])
 def test_simulate_rejects_invalid_values(tmp_path, capsys, where, key, value,
                                          message):

@@ -2,11 +2,11 @@
 
 import csv
 import io
-import tracemalloc
 from operator import attrgetter
 
 import pytest
 
+from multcp.cli import main
 from multcp.harness import (DumbbellParams, build_dumbbell, run_scenario,
                             write_csv)
 from multcp.policing import (DECLARATION_COLUMNS, TRACE_COLUMNS, Declaration,
@@ -226,62 +226,53 @@ def dumbbell_run(tmp_path_factory):
     return records, path
 
 
-@pytest.fixture(scope="module")
-def dumbbell_trace(dumbbell_run):
-    """The trace CSV of the traced 4-flow dumbbell."""
-    return dumbbell_run[1]
-
-
-def read_rows(path):
-    with open(path, newline="") as fh:
-        return list(csv.reader(fh))[1:]
-
-
 def unshared_read(path):
     """Parse a trace CSV row by row, sharing only one event string per kind."""
     events = {name: name for name in TRACE_EVENTS}
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
     return [TraceRecord(int(t), int(f), events[e],
                         float(b) if b else None, float(a) if a else None,
                         int(s) if s else None, int(k) if k else None)
-            for t, f, e, b, a, s, k in read_rows(path)]
+            for t, f, e, b, a, s, k in rows]
 
 
-def test_read_back_records_share_repeated_values(dumbbell_trace):
-    rows, records = read_rows(dumbbell_trace), read_trace_csv(dumbbell_trace)
-    assert len(rows) == len(records)
-    sent = [r for r in records if r.event == "data-sent"]
-    assert sent and all(r.cwnd_before is r.cwnd_after for r in sent)
-    last_after = {}         # flow -> (cwnd_after text, its object)
-    shared_before = shared_time = 0
-    for i, (row, r) in enumerate(zip(rows, records)):
-        if row[4] == row[3]:
-            assert r.cwnd_after is r.cwnd_before
-        text, after = last_after.get(r.flow_id, (None, None))
-        if row[3] == text:
-            assert r.cwnd_before is after
-            shared_before += 1
-        last_after[r.flow_id] = (row[4], r.cwnd_after)
-        if i and row[0] == rows[i - 1][0]:
-            assert r.time_ns is records[i - 1].time_ns
-            shared_time += 1
-    assert shared_before > len(rows) // 2 and shared_time > 0
+def test_read_back_records_equal_a_reference_parse_and_the_run(dumbbell_run):
+    records, path = dumbbell_run
+    assert read_trace_csv(path) == unshared_read(path) == list(records)
 
 
-def test_read_back_records_take_less_memory_than_an_unshared_parse(
-        dumbbell_trace):
-    def traced_size(read):
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            records = read(dumbbell_trace)
-            return tracemalloc.get_traced_memory()[0] - base, records
-        finally:
-            tracemalloc.stop()
-
-    shared, records = traced_size(read_trace_csv)
-    unshared, reference = traced_size(unshared_read)
-    assert records == reference
-    assert shared <= 0.8 * unshared, (shared, unshared)
+def test_a_trace_with_data_sent_rows_polices_as_the_lean_one(
+        dumbbell_run, tmp_path, capsysbinary):
+    # older traces hold a data-sent row per sent segment; policing skips them
+    records, lean = dumbbell_run
+    padded = []
+    for r in records:
+        padded.append(r)
+        if r.event == "ack-received":
+            padded.append(rec(r.time_ns, "data-sent", r.flow_id,
+                              r.cwnd_after, r.cwnd_after, seq=r.ack))
+    legacy = tmp_path / "legacy.csv"
+    write_trace_csv(padded, legacy)
+    read = read_trace_csv(legacy)
+    assert read == padded and len(read) > len(records)
+    lean_flows, legacy_flows = split_trace(records), split_trace(read)
+    assert legacy_flows.keys() == lean_flows.keys() == {0, 1, 2, 3}
+    decls = [Declaration(f, 2.0 if f == 0 else 1.0, 0, 12 * 10**9)
+             for f in sorted(lean_flows)]
+    for d in decls:
+        assert (analyze_trace(legacy_flows[d.flow_id])
+                == analyze_trace(lean_flows[d.flow_id]))
+        assert verify_declaration(read, d) == verify_declaration(records, d)
+    assert verify_declaration(read, decls[0]).status == "violation"
+    decls_path = tmp_path / "decls.csv"
+    write_declarations_csv(decls, decls_path)
+    printed = []
+    for trace in (lean, legacy):
+        assert main(["police", "--trace", str(trace),
+                     "--declarations", str(decls_path)]) == 0
+        printed.append(capsysbinary.readouterr().out)
+    assert printed[0] == printed[1] and b"violation" in printed[0]
 
 
 def test_csv_readers_reject_malformed(tmp_path):
@@ -302,8 +293,7 @@ def test_csv_readers_reject_malformed(tmp_path):
             ("2,0,timeout,-inf,1.0,,", "non-finite cwnd"),
             ("2,0,data-sent,1.0,1.0,5", "expected 7 fields, got 6"),
             ("", "expected 7 fields, got 0"),
-            # a bad field after one shared with line 2: the cwnd_before
-            # and the time repeat line 2's texts
+            # a bad field after fields whose texts repeat line 2's
             ("2,0,loss-detected,1.0,nan,,", "non-finite cwnd ['1.0', 'nan']"),
             ("1,0,data-sent,1.0,1.0,zz,",
              "invalid literal for int() with base 10: 'zz'")]:
@@ -333,7 +323,7 @@ def test_csv_readers_reject_malformed(tmp_path):
     ("2y,0,data-sent,one,1.0,5,", "could not convert string to float: 'one'"),
     ("2y,0,loss-detected,inf,2.0,,", "non-finite cwnd ['inf', '2.0']"),
     ("2,x,loss-detected,4.0,nan,,", "non-finite cwnd ['4.0', 'nan']"),
-    # a cwnd_before shared with line 2's cwnd_after, then a bad seq
+    # a cwnd_before that repeats line 2's cwnd_after, then a bad seq
     ("2,0,loss-detected,1.0,nan,zz,", "non-finite cwnd ['1.0', 'nan']"),
     ("2,1,data-sent,1.0,1.0,5,x", "invalid literal for int() with base 10: 'x'"),
     ("2,x,bogus,1.0,1.0,5", "expected 7 fields, got 6")])
@@ -383,7 +373,7 @@ def test_trace_writer_matches_csv_writer_on_edge_values():
 
 
 def test_trace_writer_matches_csv_writer_on_a_traced_run(dumbbell_run):
-    # the sender's own records, and the read-back ones that share values
+    # the sender's own records, and the read-back ones
     records, path = dumbbell_run
     text = reference_trace_csv(records)
     assert written_trace_csv(records) == text
