@@ -132,8 +132,8 @@ def _floats(text: str, what: str) -> list[float]:
 
 def _cmd_simulate(args) -> int:
     scenario = harness.load_scenario(args.scenario)
-    if not args.trace_out:  # a trace is recorded only to be written
-        result = harness.run_scenario(dataclasses.replace(scenario, trace=False))
+    if not args.trace_out:
+        result = harness.run_scenario(scenario)
     else:
         # open the trace file first, so a bad path fails before any output
         try:

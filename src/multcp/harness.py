@@ -2,12 +2,12 @@
 
 The reference topology is a dumbbell: every flow enters through its own
 drop-tail access link and shares one RED-managed bottleneck.  The
-numbers the experiments rely on (10 Mb/s / 20 ms bottleneck, 100 Mb/s
-access links with one-way delays spread over 2..40 ms by flow index,
-1000-byte payloads, RED at 5/15/20) put the RED average near its
-thresholds with 22 bulk flows.  Flows 0 and 1 share the mid-range
-access delay so the measured pair sees identical base RTTs; the
-background flows cover the full delay range.
+numbers the experiments rely on are fixed (10 Mb/s / 20 ms bottleneck,
+100 Mb/s access links with one-way delays spread over 2..40 ms by flow
+index, starts jittered over 1 s, 1000-byte payloads, RED at 5/15/20);
+they put the RED average near its thresholds with 22 bulk flows.  Flows
+0 and 1 share the mid-range access delay so the measured pair sees
+identical base RTTs; the background flows cover the full delay range.
 
 Two experiments mirror the headline figures:
 
@@ -18,8 +18,9 @@ Two experiments mirror the headline figures:
   RTT-normalized throughput (std/mean of throughput * base RTT)
   measures how evenly the bottleneck is shared.
 
-Scenario files are YAML with sections for links, flows, red, duration
-and seed; every field is optional except the topology and the duration.
+Scenario files are YAML with sections for links, flows, red, duration,
+warmup, seed and payload; every field is optional except the topology
+and the duration.
 All CSV output uses shortest-round-trip float formatting, so a repeated
 run with the same seed emits identical bytes.
 """
@@ -29,7 +30,7 @@ from __future__ import annotations
 import csv
 import statistics
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import partial
 
 from .aqm import RedParams
@@ -42,67 +43,65 @@ class ScenarioError(ValueError):
     pass
 
 
+# the reference dumbbell's fixed numbers
+_BOTTLENECK_BPS = 10e6
+_BOTTLENECK_DELAY_S = 0.020
+_ACCESS_BPS = 100e6
+_ACCESS_DELAY_MIN_S = 0.002
+_ACCESS_DELAY_MAX_S = 0.040
+_START_JITTER_S = 1.0
+
+
 @dataclass(frozen=True)
 class DumbbellParams:
-    """Topology and measurement defaults for the reference dumbbell."""
+    """Simulated length and measurement warmup of a reference-dumbbell run."""
 
-    bottleneck_bandwidth_bps: float = 10e6
-    bottleneck_delay_s: float = 0.020
-    access_bandwidth_bps: float = 100e6
-    access_delay_min_s: float = 0.002
-    access_delay_max_s: float = 0.040
-    payload_bytes: int = 1000
-    red: RedParams = field(default_factory=RedParams)
     duration_s: float = 70.0
     warmup_s: float = 10.0
-    start_jitter_s: float = 1.0
-    ssthresh: int = 64
 
 
 BOTTLENECK = "bottleneck"
 
 
 def build_dumbbell(n_flows: int, params: DumbbellParams | None = None, *,
-                   variant: str = "sack", weights=None, variants=None,
-                   seed: int = 0, trace: bool = False,
-                   advertised_bytes=None) -> Scenario:
+                   variant="sack", weights=None, seed: int = 0,
+                   trace: bool = False, advertised_bytes=None) -> Scenario:
     """Dumbbell scenario: n access links feeding one RED bottleneck.
 
-    Flows 0 and 1 share the mid-range access delay: they are the
-    measured pair in the gain experiment, and equal base RTTs make
-    their throughput ratio reflect the weights rather than an RTT
-    mismatch.  The remaining flows spread deterministically over the
-    configured delay range by flow index.  `weights`, `variants` and
-    `advertised_bytes` may be scalars or per-flow lists.
+    `params` sets only the run length and warmup; payload, RED and
+    ssthresh are the spec defaults.  Flows 0 and 1 share the mid-range
+    access delay: they are the measured pair in the gain experiment, and
+    equal base RTTs make their throughput ratio reflect the weights
+    rather than an RTT mismatch.  The remaining flows spread
+    deterministically over the access delay range by flow index.
+    `variant`, `weights` and `advertised_bytes` may be scalars or
+    per-flow lists.
     """
     if n_flows < 2:
         raise ScenarioError("a dumbbell needs at least two flows")
     p = params if params is not None else DumbbellParams()
     weights = _per_flow(weights if weights is not None else 1.0, n_flows, "weights")
-    variants = _per_flow(variants if variants is not None else variant,
-                         n_flows, "variants")
+    variants = _per_flow(variant, n_flows, "variant")
     advertised = _per_flow(advertised_bytes, n_flows, "advertised_bytes")
 
-    links = [LinkSpec(name=BOTTLENECK, bandwidth_bps=p.bottleneck_bandwidth_bps,
-                      delay_s=p.bottleneck_delay_s, queue="red", red=p.red)]
+    links = [LinkSpec(name=BOTTLENECK, bandwidth_bps=_BOTTLENECK_BPS,
+                      delay_s=_BOTTLENECK_DELAY_S, queue="red")]
     flows = []
-    span = p.access_delay_max_s - p.access_delay_min_s
+    span = _ACCESS_DELAY_MAX_S - _ACCESS_DELAY_MIN_S
     for i in range(n_flows):
         if i < 2:
-            delay = p.access_delay_min_s + span / 2
+            delay = _ACCESS_DELAY_MIN_S + span / 2
         else:
-            delay = p.access_delay_min_s + span * (i - 2) / max(n_flows - 3, 1)
-        links.append(LinkSpec(name=f"access{i}",
-                              bandwidth_bps=p.access_bandwidth_bps,
+            delay = _ACCESS_DELAY_MIN_S + span * (i - 2) / max(n_flows - 3, 1)
+        links.append(LinkSpec(name=f"access{i}", bandwidth_bps=_ACCESS_BPS,
                               delay_s=delay))
         flows.append(FlowSpec(variant=variants[i], n_weight=weights[i],
                               route=(f"access{i}", BOTTLENECK),
-                              start_jitter_s=p.start_jitter_s,
-                              ssthresh=p.ssthresh,
+                              start_jitter_s=_START_JITTER_S,
                               advertised_bytes=advertised[i]))
     return Scenario(links=tuple(links), flows=tuple(flows),
                     duration_s=p.duration_s, warmup_s=p.warmup_s, seed=seed,
-                    payload_bytes=p.payload_bytes, red=p.red, trace=trace)
+                    trace=trace)
 
 
 def _per_flow(value, n: int, what: str) -> list:
@@ -407,10 +406,11 @@ def scenario_from_dict(data: dict) -> Scenario:
     Required keys: links (list of {name, bandwidth, delay, queue?,
     limit?, red?}), flows (list of {route, variant?, n?, start?,
     jitter?, stop?, bulk_bytes?, ssthresh?, advertised_bytes?}) and
-    duration.  Optional top-level keys: warmup, seed, payload, red,
-    trace.  An absent or null key takes the spec class's default; a
-    flow's variant defaults to sack.  Bandwidths are bits/second, delays
-    and times are seconds.
+    duration.  Optional top-level keys: warmup, seed, payload, red.
+    An absent or null key takes the spec class's default; a flow's
+    variant defaults to sack.  Bandwidths are bits/second, delays and
+    times are seconds.  A file cannot ask for a trace: the library sets
+    `Scenario.trace`, and `multcp simulate` traces only for --trace-out.
     """
     scenario = _build(Scenario, _TOP, data, "")
     if scenario.duration_s <= scenario.warmup_s:
@@ -442,14 +442,13 @@ def _build(cls, rows, entry, where: str, **kwargs):
 def _only(kind: type, what: str):
     """A converter that passes values of `kind` alone; bool is no int."""
     def convert(value, path: str):
-        if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+        if not isinstance(value, kind) or isinstance(value, bool):
             raise ScenarioError(f"{path}: expected {what}, got {value!r}")
         return value
     return convert
 
 
-_int, _bool, _str = (_only(int, "an integer"), _only(bool, "true or false"),
-                     _only(str, "a string"))
+_int, _str = _only(int, "an integer"), _only(str, "a string")
 
 
 def _float(value, path: str) -> float:
@@ -493,4 +492,4 @@ _TOP = (("links", "links", _each(partial(_build, LinkSpec, _LINK))),
         ("flows", "flows", _each(partial(_build, FlowSpec, _FLOW, variant="sack"))),
         ("duration", "duration_s", _float), ("warmup", "warmup_s", _float),
         ("seed", "seed", _int), ("payload", "payload_bytes", _int),
-        ("red", "red", partial(_build, RedParams, _RED)), ("trace", "trace", _bool))
+        ("red", "red", partial(_build, RedParams, _RED)))

@@ -33,11 +33,6 @@ def cycle_data(w_peak: float, n_weight: float) -> float:
     return w_peak * w_peak * (n_weight - 0.25) / (2.0 * n_weight ** 3)
 
 
-def loss_rate(w_peak: float, n_weight: float) -> float:
-    """Per-packet loss probability sustaining a sawtooth peaking at w_peak."""
-    return 1.0 / cycle_data(w_peak, n_weight)
-
-
 def peak_window(p: float, n_weight: float) -> float:
     """Sawtooth peak (in packets) sustained by loss rate p."""
     _check_weight(n_weight)

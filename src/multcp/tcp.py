@@ -223,9 +223,6 @@ class _IntervalSet:
             total += min(self.ends[k], x) - self.starts[k]
         return total
 
-    def ranges(self) -> list[tuple[int, int]]:
-        return list(zip(self.starts, self.ends))
-
 
 class TcpReceiver:
     """Reassembly buffer: cumulative ack plus optional sack blocks."""
@@ -355,9 +352,6 @@ class TcpSender:
             if self.lost:
                 out -= len(self.lost)
         return out
-
-    def done(self) -> bool:
-        return self.bulk_segments is not None and self.cum_ack >= self.bulk_segments
 
     # -- sending ----------------------------------------------------------
 

@@ -93,8 +93,6 @@ def test_simulate_stdout_matches_output_file(tmp_path, capsysbinary):
     ("flows", "bulk_bytes", -5000, "bulk_bytes must be"),
     ("flows", "advertised_bytes", 0, "advertised_bytes must be"),
     ("flows", "advertised_bytes", 500, "advertised_bytes must be"),
-    ("top", "trace", "false", "trace: expected true or false"),
-    ("top", "trace", 1, "trace: expected true or false"),
     ("flows", "stop", float("inf"), "stop"),
     # finite, but past what a nanosecond count in a float can hold
     ("flows", "start", 1.0e300, "start does not fit the nanosecond clock"),
@@ -122,6 +120,8 @@ def test_simulate_stdout_matches_output_file(tmp_path, capsysbinary):
     pytest.param("flows", "route", ["acc", "nowhere"],
                  "error: flow 0: route names unknown link 'nowhere'",
                  id="flows-route-nowhere-unknown link"),
+    # a file cannot ask for a trace; only --trace-out records one
+    ("top", "trace", True, "error: scenario: unknown keys ['trace']"),
 ])
 def test_simulate_rejects_invalid_values(tmp_path, capsys, where, key, value,
                                          message):

@@ -1,5 +1,6 @@
 """Event engine: links, scheduling, determinism, conservation."""
 
+import dataclasses
 import tracemalloc
 from collections import Counter
 
@@ -279,11 +280,13 @@ def test_invariants_hold_at_random_cut_points(data):
     bandwidth = data.draw(st.sampled_from([2e6, 10e6]), label="bottleneck")
     cuts = sorted(data.draw(st.lists(st.floats(0.0, duration), min_size=1,
                                      max_size=6), label="cuts"))
-    params = DumbbellParams(bottleneck_bandwidth_bps=bandwidth,
-                            duration_s=duration, warmup_s=0.0)
-    scenario = build_dumbbell(n, params, variants=variants, weights=weights,
+    params = DumbbellParams(duration_s=duration, warmup_s=0.0)
+    scenario = build_dumbbell(n, params, variant=variants, weights=weights,
                               seed=data.draw(st.integers(0, 1000), label="seed"),
                               trace=True)
+    bottleneck = dataclasses.replace(scenario.links[0], bandwidth_bps=bandwidth)
+    scenario = dataclasses.replace(scenario,
+                                   links=(bottleneck,) + scenario.links[1:])
 
     pieces = Simulation(scenario)
     for t in cuts + [duration]:

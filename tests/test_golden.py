@@ -202,7 +202,7 @@ def test_simulate_all_keys_stdout_and_trace(tmp_path, capsysbinary):
 
 def test_simulate_records_a_trace_only_for_trace_out(tmp_path, capsysbinary,
                                                       monkeypatch):
-    # the file sets trace: true, but without --trace-out nothing writes it
+    # without --trace-out, no trace is recorded
     traced = []
     run = harness.run_scenario
 

@@ -43,12 +43,16 @@ def test_dumbbell_measured_pair_shares_mid_delay():
 
 
 def test_dumbbell_scalar_and_list_parameters():
-    scn = build_dumbbell(3, variant="reno", weights=[2.0, 1.0, 1.0],
-                         variants=["sack", "reno", "tahoe"])
+    scn = build_dumbbell(3, weights=[2.0, 1.0, 1.0],
+                         variant=["sack", "reno", "tahoe"])
     assert [f.n_weight for f in scn.flows] == [2.0, 1.0, 1.0]
     assert [f.variant for f in scn.flows] == ["sack", "reno", "tahoe"]
+    assert [f.variant for f in build_dumbbell(3, variant="reno").flows] \
+        == ["reno"] * 3
     with pytest.raises(ScenarioError):
         build_dumbbell(3, weights=[1.0, 2.0])
+    with pytest.raises(ScenarioError):
+        build_dumbbell(3, variant=["sack", "reno"])
     with pytest.raises(ScenarioError):
         build_dumbbell(1)
 
@@ -163,7 +167,7 @@ def test_null_keys_take_the_spec_defaults():
     del data["flows"][0]["variant"]
     bare = scenario_from_dict(data)
     assert bare.flows[0].variant == "sack"
-    data.update(warmup=None, seed=None, payload=None, red=None, trace=None)
+    data.update(warmup=None, seed=None, payload=None, red=None)
     data["links"][1].update(queue=None, limit=None, red=None)
     data["links"][0]["red"].update(ewma_weight=None)
     data["flows"][0].update(variant=None, stop=None, ssthresh=None)

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from multcp.model import (SawtoothResult, cycle_data, gain_ratio, loss_rate,
+from multcp.model import (SawtoothResult, cycle_data, gain_ratio,
                           multcp_throughput, peak_window, sawtooth_oracle)
 
 
@@ -16,14 +16,10 @@ def test_cycle_data_matches_hand_integration():
     assert cycle_data(10.0, 2.0) == pytest.approx(100 * 1.75 / 16)
 
 
-def test_loss_rate_is_reciprocal_of_cycle_data():
-    assert loss_rate(25.0, 4.0) == pytest.approx(1.0 / cycle_data(25.0, 4.0))
-
-
 @given(st.floats(1.0, 16.0), st.floats(1e-6, 1e-2))
 def test_peak_window_inverts_loss_rate(n, p):
     w = peak_window(p, n)
-    assert loss_rate(w, n) == pytest.approx(p, rel=1e-9)
+    assert 1.0 / cycle_data(w, n) == pytest.approx(p, rel=1e-9)
 
 
 def test_throughput_formula_value():

@@ -70,7 +70,7 @@ def test_timeout_restarts_from_one():
 def test_interval_set_add_and_merge():
     s = _IntervalSet()
     assert s.add_range(5, 6) and s.add_range(7, 8) and s.add_range(6, 7)
-    assert s.ranges() == [(5, 8)]
+    assert list(zip(s.starts, s.ends)) == [(5, 8)]
     assert not s.add_range(6, 7)     # already covered
     assert s.total == 3
 
@@ -80,7 +80,7 @@ def test_interval_set_add_range_reports_new():
     s.add_range(10, 15)
     new = s.add_range(12, 20)
     assert new == [(15, 20)]
-    assert s.ranges() == [(10, 20)]
+    assert list(zip(s.starts, s.ends)) == [(10, 20)]
     assert s.add_range(0, 5) == [(0, 5)]
     assert s.total == 15
 
@@ -91,7 +91,7 @@ def test_interval_set_prune_and_count():
     s.add_range(8, 12)
     assert s.count_below(10) == 6
     s.prune_below(9)
-    assert s.ranges() == [(9, 12)]
+    assert list(zip(s.starts, s.ends)) == [(9, 12)]
     assert s.total == 3
     assert 8 not in s and 9 in s
 
@@ -107,8 +107,8 @@ def test_interval_set_tracks_a_plain_set(points, cutoff):
     assert s.total == len(ref)
     assert s.count_below(cutoff) == sum(1 for x in ref if x < cutoff)
     s.prune_below(cutoff)
-    assert sorted(x for a, b in s.ranges() for x in range(a, b)) == \
-        sorted(x for x in ref if x >= cutoff)
+    covered = sorted(x for a, b in zip(s.starts, s.ends) for x in range(a, b))
+    assert covered == sorted(x for x in ref if x >= cutoff)
 
 
 def runs(values):
@@ -134,8 +134,8 @@ def test_add_range_of_any_width_tracks_a_plain_set(inserts):
         assert s.add_range(a, b) == runs(set(range(a, b)) - ref)
         ref.update(range(a, b))
         assert s.total == len(ref)
-        assert s.ranges() == runs(ref)
-        assert all(a < b for a, b in s.ranges())
+        assert list(zip(s.starts, s.ends)) == runs(ref)
+        assert all(a < b for a, b in zip(s.starts, s.ends))
         assert all(e < s2 for e, s2 in zip(s.ends, s.starts[1:]))
 
 
@@ -314,7 +314,7 @@ def test_bulk_transfer_completes():
     rx = TcpReceiver()
     pending = tx.start(0)
     now = 0
-    while not tx.done():
+    while tx.cum_ack < tx.bulk_segments:
         now += 50_000_000
         acks = [rx.on_data(seq) for seq in pending]
         pending = []
