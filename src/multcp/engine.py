@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 from .aqm import RedParams, RedQueue
-from .tcp import TcpReceiver, TcpSender, TraceRecord
+from .tcp import VARIANTS, TcpReceiver, TcpSender, TraceRecord
 
 NS_PER_SEC = 1_000_000_000
 
@@ -123,6 +123,9 @@ class FlowSpec:
     advertised_bytes: int | None = None     # receive-buffer cap
 
     def __post_init__(self) -> None:
+        if self.variant not in VARIANTS:
+            raise ValueError(f"variant must be one of {', '.join(VARIANTS)}, "
+                             f"got {self.variant!r}")
         if not self.route:
             raise ValueError("route must name at least one link")
         for key, value, least in (("n", self.n_weight, 1),

@@ -461,13 +461,6 @@ def _float(value, path: str) -> float:
     raise ScenarioError(f"{path}: expected a number, got {value!r}")
 
 
-def _variant(value, path: str) -> str:
-    if _str(value, path) not in VARIANTS:
-        raise ScenarioError(f"{path}: expected one of {', '.join(VARIANTS)}, "
-                            f"got {value!r}")
-    return value
-
-
 def _each(convert):
     """A converter from a non-empty list to a tuple, item by item."""
     def each(value, path: str) -> tuple:
@@ -483,7 +476,7 @@ _RED = (("thresh", "thresh", _float), ("maxthresh", "maxthresh", _float),
 _LINK = (("name", "name", _str), ("bandwidth", "bandwidth_bps", _float),
          ("delay", "delay_s", _float), ("queue", "queue", _str),
          ("limit", "limit", _int), ("red", "red", partial(_build, RedParams, _RED)))
-_FLOW = (("variant", "variant", _variant), ("route", "route", _each(_str)),
+_FLOW = (("variant", "variant", _str), ("route", "route", _each(_str)),
          ("n", "n_weight", _float), ("start", "start_s", _float),
          ("jitter", "start_jitter_s", _float), ("stop", "stop_s", _float),
          ("bulk_bytes", "bulk_bytes", _int), ("ssthresh", "ssthresh", _int),

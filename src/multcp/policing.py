@@ -13,15 +13,14 @@ off a packet trace in two independent ways:
   so the window value where the growth changes inverts to
   N = w ** ((log 3 - log 2) / log 3).
 
-Both read the sender's cwnd columns, which every simulation trace
-carries; a trace without them cannot be policed.
+Both read the sender's cwnd columns, which every trace row carries.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import attrgetter
 
 from .engine import NS_PER_SEC
@@ -29,8 +28,7 @@ from .harness import _output, read_csv, write_csv
 from .tcp import (ACK_RECEIVED, LOSS_DETECTED, TIMEOUT, TRACE_EVENTS,
                   TraceRecord)
 
-TRACE_COLUMNS = ("time_ns", "flow_id", "event", "cwnd_before", "cwnd_after",
-                 "seq", "ack")
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRecord))
 DECLARATION_COLUMNS = ("flow_id", "declared_n", "start_ns", "end_ns")
 
 # inverse of the slow-start crossover 3 ** (log N / (log 3 - log 2))
@@ -102,16 +100,11 @@ def analyze_trace(records) -> TraceAnalysis:
     _MIN_DECREASE_SAMPLES loss events are available; otherwise the
     slow-start signature is used; with neither the verdict is
     indeterminate.  Timeouts never contribute ratios (they collapse the
-    window to one segment, which says nothing about N).  A non-empty
-    trace with no record carrying both cwnd values raises ValueError.
+    window to one segment, which says nothing about N).
     """
     records = list(records)
     if len({r.flow_id for r in records}) > 1:
         raise ValueError("trace mixes multiple flows; split it first")
-    if records and not any(r.cwnd_before is not None
-                           and r.cwnd_after is not None for r in records):
-        raise ValueError("policing needs the sender's cwnd; "
-                         "the trace's cwnd columns are empty")
     ratios = _ratios_from_cwnd(records)
     windows = _crossovers_from_cwnd(records)
 
@@ -141,8 +134,7 @@ def analyze_trace(records) -> TraceAnalysis:
 def _ratios_from_cwnd(records) -> list[float]:
     """cwnd_after / cwnd_before at each loss event that shrank the window."""
     ratios = [r.cwnd_after / r.cwnd_before for r in records
-              if r.event == LOSS_DETECTED and r.cwnd_after is not None
-              and r.cwnd_before is not None and r.cwnd_before > 0]
+              if r.event == LOSS_DETECTED and r.cwnd_before > 0]
     return [x for x in ratios if 0.0 < x < 1.0]
 
 
@@ -154,9 +146,9 @@ def _crossovers_from_cwnd(records) -> list[float]:
         if r.event in (LOSS_DETECTED, TIMEOUT):
             last_plus2 = None
             continue
-        if r.event != ACK_RECEIVED or r.cwnd_before is None:
+        if r.event != ACK_RECEIVED:
             continue
-        delta = (r.cwnd_after or 0.0) - r.cwnd_before
+        delta = r.cwnd_after - r.cwnd_before
         if abs(delta - 2.0) < 1e-9:
             last_plus2 = r.cwnd_before
         elif abs(delta - 1.0) < 1e-9 and last_plus2 is not None:
@@ -243,9 +235,9 @@ def _unknown_event(event) -> ValueError:
 def write_trace_csv(records, target) -> None:
     """Write trace records to a path or an open text stream.
 
-    The bytes are those csv.writer writes: CRLF line ends, None as an
-    empty field and a float as its repr.  The events go out unquoted, so
-    an event outside TRACE_EVENTS raises ValueError.
+    The bytes are those csv.writer writes: CRLF line ends, a None ack as
+    an empty field and a float as its repr.  The events go out unquoted,
+    so an event outside TRACE_EVENTS raises ValueError.
     """
     with _output(target) as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\r\n")
@@ -257,22 +249,20 @@ _TRACE_FIELDS = attrgetter(*TRACE_COLUMNS)
 
 def _trace_lines(records):
     """Each record's CSV line."""
-    for time_ns, flow_id, event, before, after, seq, ack in map(_TRACE_FIELDS,
-                                                                 records):
+    for time_ns, flow_id, event, before, after, ack in map(_TRACE_FIELDS,
+                                                            records):
         if event not in _EVENT_NAMES:
             raise _unknown_event(event)
-        yield (f"{time_ns},{flow_id},{event},"
-               f"{'' if before is None else repr(before)},"
-               f"{'' if after is None else repr(after)},"
-               f"{'' if seq is None else seq},{'' if ack is None else ack}\r\n")
+        yield (f"{time_ns},{flow_id},{event},{before!r},{after!r},"
+               f"{'' if ack is None else ack}\r\n")
 
 
 def read_trace_csv(path) -> list[TraceRecord]:
     """Read a trace CSV; a bad row raises ValueError naming file and line.
 
-    Rows must have seven fields, integer time/flow/seq/ack, a known
-    event name and finite (or empty) cwnd values.  data-sent rows, which
-    older traces hold for each sent segment, are read like any other.
+    Rows must have six fields: integer time and flow, one of the
+    TRACE_EVENTS names, two finite cwnd values and an integer or empty
+    ack.  An empty ack reads as None.
     """
     return read_csv(path, TRACE_COLUMNS, "trace", _trace_parser)
 
@@ -280,20 +270,18 @@ def read_trace_csv(path) -> list[TraceRecord]:
 def _trace_parser(row: list[str]) -> TraceRecord:
     """One trace CSV row as a record, for read_trace_csv.
 
-    Faults are reported in the order event, cwnd_before, cwnd_after,
-    finiteness, time, flow, seq, ack.
+    Faults are reported in the order event, cwnd_before, cwnd_after
+    (an empty cwnd is a bad float), finiteness, time, flow, ack.
     """
-    time_ns, flow_id, event, before_text, after_text, seq, ack = row
+    time_ns, flow_id, event, before_text, after_text, ack = row
     kind = _EVENT_NAMES.get(event)
     if kind is None:
         raise _unknown_event(event)
-    before = float(before_text) if before_text else None
-    after = float(after_text) if after_text else None
-    if (before is not None and not math.isfinite(before)
-            or after is not None and not math.isfinite(after)):
+    before, after = float(before_text), float(after_text)
+    if not (math.isfinite(before) and math.isfinite(after)):
         raise ValueError(f"non-finite cwnd {row[3:5]!r}")
     return TraceRecord(int(time_ns), int(flow_id), kind, before, after,
-                       int(seq) if seq else None, int(ack) if ack else None)
+                       int(ack) if ack else None)
 
 
 def write_declarations_csv(declarations, target) -> None:

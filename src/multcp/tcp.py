@@ -30,14 +30,11 @@ RTO_MAX_NS = 60_000_000_000
 RTO_GRANULARITY_NS = 1_000_000
 DUPACK_THRESHOLD = 3
 
-# trace event names; readers map parsed names onto these shared strings.
-# The sender records the last three; DATA_SENT stays so that older traces,
-# which hold a row per sent segment, still read.
-DATA_SENT = "data-sent"
+# trace event names; readers map parsed names onto these shared strings
 ACK_RECEIVED = "ack-received"
 LOSS_DETECTED = "loss-detected"
 TIMEOUT = "timeout"
-TRACE_EVENTS = (DATA_SENT, ACK_RECEIVED, LOSS_DETECTED, TIMEOUT)
+TRACE_EVENTS = (ACK_RECEIVED, LOSS_DETECTED, TIMEOUT)
 
 
 def slow_start_crossover(n_weight: float) -> float:
@@ -112,6 +109,10 @@ def on_timeout(state: CongestionState) -> None:
 class TraceRecord:
     """One line of a connection trace, as written to trace CSV files.
 
+    The fields are the trace CSV's columns, in order.  Every record
+    carries the window before and after its event; only `ack` may be
+    None.
+
     Slotted: a long traced run holds one record per window-growing ack,
     loss episode and timeout, so records carry no per-instance __dict__.
     For the same reason __init__ sets the slots through their own
@@ -122,26 +123,24 @@ class TraceRecord:
     time_ns: int
     flow_id: int
     event: str          # one of TRACE_EVENTS
-    cwnd_before: float | None
-    cwnd_after: float | None
-    seq: int | None
-    ack: int | None
+    cwnd_before: float
+    cwnd_after: float
+    ack: int | None     # the cumulative ack, on ack-received rows only
 
     def __init__(self, time_ns: int, flow_id: int, event: str,
-                 cwnd_before: float | None, cwnd_after: float | None,
-                 seq: int | None, ack: int | None) -> None:
+                 cwnd_before: float, cwnd_after: float,
+                 ack: int | None) -> None:
         _set_time_ns(self, time_ns)
         _set_flow_id(self, flow_id)
         _set_event(self, event)
         _set_cwnd_before(self, cwnd_before)
         _set_cwnd_after(self, cwnd_after)
-        _set_seq(self, seq)
         _set_ack(self, ack)
 
 
 (_set_time_ns, _set_flow_id, _set_event, _set_cwnd_before, _set_cwnd_after,
- _set_seq, _set_ack) = (getattr(TraceRecord, f.name).__set__
-                        for f in fields(TraceRecord))
+ _set_ack) = (getattr(TraceRecord, f.name).__set__
+              for f in fields(TraceRecord))
 
 
 class _IntervalSet:
@@ -637,4 +636,4 @@ class TcpSender:
                 ack: int | None = None) -> None:
         if self.trace is not None:
             self.trace.append(TraceRecord(now_ns, self.flow_id, event,
-                                          before, after, None, ack))
+                                          before, after, ack))

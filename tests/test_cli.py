@@ -54,7 +54,7 @@ def test_simulate_to_file_and_trace(tmp_path):
     assert len(rows) == 3 and rows[1][2] == "sack"
     trace_rows = read_rows(trace)
     assert trace_rows[0] == ["time_ns", "flow_id", "event", "cwnd_before",
-                             "cwnd_after", "seq", "ack"]
+                             "cwnd_after", "ack"]
     assert len(trace_rows) > 10
 
 
@@ -122,6 +122,8 @@ def test_simulate_stdout_matches_output_file(tmp_path, capsysbinary):
                  id="flows-route-nowhere-unknown link"),
     # a file cannot ask for a trace; only --trace-out records one
     ("top", "trace", True, "error: scenario: unknown keys ['trace']"),
+    ("flows", "variant", "bbr", "error: flows[0]: variant must be one of "
+     "tahoe, reno, newreno, sack, got 'bbr'"),
 ])
 def test_simulate_rejects_invalid_values(tmp_path, capsys, where, key, value,
                                          message):
@@ -378,7 +380,7 @@ def compliant_trace(n: float, losses: int = 6) -> list[TraceRecord]:
     for k in range(losses):
         records.append(TraceRecord(time_ns=k * 10**8, flow_id=0,
                                    event="loss-detected", cwnd_before=w,
-                                   cwnd_after=w * ratio, seq=None, ack=None))
+                                   cwnd_after=w * ratio, ack=None))
         w = w * ratio + 5.0
     return records
 
@@ -409,23 +411,34 @@ def test_police_flags_violation(tmp_path, capsys):
 
 
 def test_police_rejects_a_trace_without_cwnd(tmp_path, capsys):
-    # no cwnd columns, and the second ack covers every segment sent
-    sent = [(1, "data-sent", 0, None), (2, "data-sent", 1, None),
-            (3, "data-sent", 2, None), (4, "ack-received", None, 1),
-            (5, "data-sent", 3, None), (6, "data-sent", 4, None),
-            (7, "ack-received", None, 5)]
+    # acks with empty cwnd fields: every row must carry the sender's cwnd
     trace = tmp_path / "trace.csv"
     decls = tmp_path / "decls.csv"
-    write_trace_csv([TraceRecord(t, 0, event, None, None, seq, ack)
-                     for t, event, seq, ack in sent], trace)
+    trace.write_text("time_ns,flow_id,event,cwnd_before,cwnd_after,ack\n"
+                     "1,0,ack-received,1.0,3.0,1\n4,0,ack-received,,,1\n")
     write_declarations_csv([Declaration(0, 2.0, 0, 10**9)], decls)
     rc = main(["police", "--trace", str(trace), "--declarations", str(decls)])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert "cwnd" in lines[0] and "Traceback" not in captured.err
+    assert captured.err.splitlines() == [
+        f"error: {trace}, line 3: could not convert string to float: ''"]
+
+
+def test_police_rejects_a_trace_with_a_seq_column(tmp_path, capsys):
+    # the seven-column format, with its always-empty seq, is no longer read
+    trace = tmp_path / "trace.csv"
+    decls = tmp_path / "decls.csv"
+    trace.write_text("time_ns,flow_id,event,cwnd_before,cwnd_after,seq,ack\n"
+                     "1,0,loss-detected,40.0,30.0,,\n")
+    write_declarations_csv([Declaration(0, 2.0, 0, 10**9)], decls)
+    rc = main(["police", "--trace", str(trace), "--declarations", str(decls)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {trace}: expected trace header ('time_ns', 'flow_id', "
+        "'event', 'cwnd_before', 'cwnd_after', 'ack')"]
 
 
 def test_police_overlapping_declarations_print_no_verdicts(tmp_path, capsys):
@@ -490,14 +503,17 @@ def test_police_rejects_bad_tolerance(tmp_path, capsys, tolerance):
 
 
 @pytest.mark.parametrize("row, problem", [
-    ("1x,0,data-sent,1.0,1.0,5,", "invalid literal for int()"),
-    ("1,0,ack,1.0,2.0,,5", "unknown event 'ack'"),
-    ("1,0,loss-detected,nan,2.0,,", "non-finite cwnd"),
+    ("1x,0,ack-received,1.0,2.0,5", "invalid literal for int()"),
+    ("1,0,ack,1.0,2.0,5", "unknown event 'ack', expected one of "
+     "ack-received, loss-detected, timeout"),
+    ("1,0,data-sent,1.0,1.0,5", "unknown event 'data-sent', expected one of "
+     "ack-received, loss-detected, timeout"),
+    ("1,0,loss-detected,nan,2.0,", "non-finite cwnd"),
 ])
 def test_police_rejects_bad_trace_row(tmp_path, capsys, row, problem):
     trace = tmp_path / "trace.csv"
     decls = tmp_path / "decls.csv"
-    trace.write_text("time_ns,flow_id,event,cwnd_before,cwnd_after,seq,ack\n"
+    trace.write_text("time_ns,flow_id,event,cwnd_before,cwnd_after,ack\n"
                      + row + "\n")
     write_declarations_csv([Declaration(0, 2.0, 0, 10**9)], decls)
     rc = main(["police", "--trace", str(trace), "--declarations", str(decls)])

@@ -36,25 +36,25 @@ ALL_KEYS = Path(__file__).resolve().parent / "all_keys.yaml"
 
 SIMULATE_DEMO = "77b4926f3870acf01f2824cd63ab884a9c54d14c77e62cf899f0be454738c71d"
 RUN_CSV = "20627cadc727058d486bb518281c85cf86e1056cdd7a048772b59744e739612e"
-TRACE_CSV = "2310d332657fde33418177104cffaf436dfd90955661544e17457ba27908e451"
+TRACE_CSV = "a610957e338a4902fe489b7ed403d93aef85e39faea32eb59f77a8a84e9e46c8"
 HEADLINE_RUN_CSV = "196de46f0cc388972f4e202abc59a4f4db33c2593f2c9df1b4a085ddf298c033"
-HEADLINE_TRACE_CSV = "1c0e1dc2f721b4c5f15d26644676d2501cddae3b982e734f26c46f45c66f326e"
+HEADLINE_TRACE_CSV = "5d44b470684ebd556c20986e93c4c71aa27cdd6f1b5b301bd02f1d8e9e9ea622"
 GAIN_CSV = "d8042202d06858b1c8f0db3c0180de3fabd7d65a56d41071854921e8c614c08a"
 GAIN_SUMMARY = "d88606447a6a1e39be9999128630091445a41dba5925799437c4b07be8507d37"
 FAIRNESS_CSV = "512e1fa1d61bec0c81b57a188ae83990435d7bea4e40056b02d523feb5a67ac5"
 FAIRNESS_SUMMARY = "e4c6c314d6fa22c1a4276324d6e740e77c25da970103cfd16e4d7821105930ed"
 DECLARATIONS_CSV = "58cad71f22debb3f0ad749dca0362e4ab41e448d8005f9f41c986d7ae2f27e2e"
 ALL_KEYS_RUN_CSV = "4540e93e34cadefdbd1433003d1e25a60405b3584479ed1d998554d43d236aca"
-ALL_KEYS_TRACE_CSV = "27e88db8188ec19b78a337c642541bb6fda948c8d0285b122c46ff971b819653"
+ALL_KEYS_TRACE_CSV = "8ed1194659a571c150c0bcded624c73d75275548e4a743630b8dfe6c2a244c37"
 POLICE_HEADLINE = "73707ac3d48035caf2f2a7f7385c981a8fe5a9c98edcbc6ceea044f46a770062"
 # the short dumbbell's run and trace CSVs for the other variants
 VARIANT_CSVS = {
     "tahoe": ("9cffb38246326cde57e40e86723ec0802f0e322c538bcf959f90a6e2dc8ce744",
-              "805deb484811e5c0c72e320151e3b4878d182babe3d3df14222d23d25f899321"),
+              "fb74efe1fa3883b68c68757d192d207924df5dccaef628e64e5118c9ac86ddf0"),
     "reno": ("c7eaffa36219b75b014eb4b50d3bf11a70791a551c2513984dce6af7b90c502b",
-             "e9fbe13a87b4170953df2deec7d0bbf0f6c831de9b0db520e7c9856d05423bae"),
+             "b399873c410d4bc2aab654da5e0f0666d9027af910264e07b187e4e356e77f89"),
     "newreno": ("64f98b798169e39247da0bbaa6cf688565c7b206ef1f2b998b767f3ac897b124",
-                "45593e59f7e2c454fcb56c1d492eeda6c3ad68cec0ae3ada98264a3c91ca3c57"),
+                "d86b70fffc636230f3e963a4890ef764730206acc6fd8230c402a06cb9b9e917"),
 }
 MODEL_ORACLE = "f91614764c857c70a8b35572a5aeab3d54f28670973ffc6413249e5606512216"
 ALLOC = "3f0ce75dea877a1e7e19fe48113a26bd68a499e090e44469156679c6afb55488"
@@ -138,7 +138,7 @@ def headline_trace(tmp_path_factory):
 
 
 def test_headline_sack_trace_csv_and_read_back(headline_trace):
-    # 138,087 records; the reader must give back exactly what was traced
+    # 52,286 records; the reader must give back exactly what was traced
     result, path = headline_trace
     assert sha256(path.read_bytes()) == HEADLINE_TRACE_CSV
     assert read_trace_csv(path) == list(result.trace)

@@ -55,6 +55,11 @@ def test_dumbbell_scalar_and_list_parameters():
         build_dumbbell(3, variant=["sack", "reno"])
     with pytest.raises(ScenarioError):
         build_dumbbell(1)
+    # FlowSpec checks the name itself, so a library caller learns of it
+    # when building, not from inside a run
+    with pytest.raises(ValueError, match="variant must be one of tahoe, reno, "
+                       "newreno, sack, got 'cubic'"):
+        build_dumbbell(3, variant="cubic")
 
 
 def test_dumbbell_same_params_identical():

@@ -56,7 +56,7 @@ def police_files(tmp_path):
     records = []
     for k in range(6):
         records.append(TraceRecord(k * 10**8, 0, "loss-detected", w, w * 0.75,
-                                   None, None))
+                                   None))
         w = w * 0.75 + 5.0
     write_trace_csv(records, trace)
     write_declarations_csv([Declaration(0, 2.0, 0, 10**9)], decls)

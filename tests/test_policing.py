@@ -6,7 +6,6 @@ from operator import attrgetter
 
 import pytest
 
-from multcp.cli import main
 from multcp.harness import (DumbbellParams, build_dumbbell, run_scenario,
                             write_csv)
 from multcp.policing import (DECLARATION_COLUMNS, TRACE_COLUMNS, Declaration,
@@ -19,9 +18,9 @@ from multcp.policing import (DECLARATION_COLUMNS, TRACE_COLUMNS, Declaration,
 from multcp.tcp import TRACE_EVENTS, TraceRecord, slow_start_crossover
 
 
-def rec(t, event, flow=0, before=None, after=None, seq=None, ack=None):
+def rec(t, event, flow=0, before=1.0, after=1.0, ack=None):
     return TraceRecord(time_ns=t, flow_id=flow, event=event,
-                       cwnd_before=before, cwnd_after=after, seq=seq, ack=ack)
+                       cwnd_before=before, cwnd_after=after, ack=ack)
 
 
 def loss_trace(n, events=8, flow=0):
@@ -92,27 +91,10 @@ def test_analyze_trace_indeterminate_and_mixed_flow_error():
         analyze_trace(mixed)
 
 
-def test_policing_rejects_a_trace_without_cwnd():
-    # segments sent and acked, but the sender's cwnd columns are empty
-    records = [
-        rec(1, "data-sent", seq=0), rec(2, "data-sent", seq=1),
-        rec(3, "data-sent", seq=2), rec(4, "ack-received", ack=1),
-        rec(5, "loss-detected"), rec(6, "ack-received", ack=3)]
-    with pytest.raises(ValueError, match="policing needs the sender's cwnd"):
-        analyze_trace(records)
-    decl = Declaration(flow_id=0, declared_n=2.0, start_ns=0, end_ns=10**9)
-    with pytest.raises(ValueError, match="cwnd columns are empty"):
-        verify_declaration(records, decl)
-    # an empty window is no evidence either way, not an error
-    assert analyze_trace([]).method == "indeterminate"
-    assert verify_declaration(records, Declaration(0, 2.0, 10, 20)).status \
-        == "unverifiable"
-
-
 def test_split_trace_groups_by_flow():
-    records = [rec(1, "data-sent", flow=1, seq=0),
-               rec(2, "data-sent", flow=0, seq=0),
-               rec(3, "data-sent", flow=1, seq=1)]
+    records = [rec(1, "ack-received", flow=1, ack=1),
+               rec(2, "ack-received", flow=0, ack=1),
+               rec(3, "ack-received", flow=1, ack=2)]
     groups = split_trace(records)
     assert sorted(groups) == [0, 1]
     assert [r.time_ns for r in groups[1]] == [1, 3]
@@ -187,7 +169,8 @@ def test_bill_rejects_overlaps_and_bad_period():
 
 
 def test_trace_csv_round_trip(tmp_path):
-    records = loss_trace(2.0) + [rec(99, "data-sent", seq=7)]
+    records = loss_trace(2.0) + [rec(99, "ack-received", before=3.0,
+                                     after=5.0, ack=7)]
     path = tmp_path / "trace.csv"
     write_trace_csv(records, path)
     assert read_trace_csv(path) == records
@@ -201,8 +184,8 @@ def test_declarations_csv_round_trip(tmp_path):
 
 
 def test_read_back_records_share_one_event_string_per_kind(tmp_path):
-    records = loss_trace(2.0) + [rec(99, "data-sent", seq=7),
-                                 rec(100, "data-sent", seq=8),
+    records = loss_trace(2.0) + [rec(99, "ack-received", ack=7),
+                                 rec(100, "ack-received", ack=8),
                                  rec(200, "timeout", before=3.0, after=1.0),
                                  rec(300, "timeout", before=2.0, after=1.0)]
     path = tmp_path / "trace.csv"
@@ -210,8 +193,7 @@ def test_read_back_records_share_one_event_string_per_kind(tmp_path):
     ids: dict[str, set[int]] = {}
     for r in read_trace_csv(path):
         ids.setdefault(r.event, set()).add(id(r.event))
-    assert sorted(ids) == ["ack-received", "data-sent", "loss-detected",
-                           "timeout"]
+    assert sorted(ids) == ["ack-received", "loss-detected", "timeout"]
     assert all(len(v) == 1 for v in ids.values())
 
 
@@ -231,48 +213,14 @@ def unshared_read(path):
     events = {name: name for name in TRACE_EVENTS}
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))[1:]
-    return [TraceRecord(int(t), int(f), events[e],
-                        float(b) if b else None, float(a) if a else None,
-                        int(s) if s else None, int(k) if k else None)
-            for t, f, e, b, a, s, k in rows]
+    return [TraceRecord(int(t), int(f), events[e], float(b), float(a),
+                        int(k) if k else None)
+            for t, f, e, b, a, k in rows]
 
 
 def test_read_back_records_equal_a_reference_parse_and_the_run(dumbbell_run):
     records, path = dumbbell_run
     assert read_trace_csv(path) == unshared_read(path) == list(records)
-
-
-def test_a_trace_with_data_sent_rows_polices_as_the_lean_one(
-        dumbbell_run, tmp_path, capsysbinary):
-    # older traces hold a data-sent row per sent segment; policing skips them
-    records, lean = dumbbell_run
-    padded = []
-    for r in records:
-        padded.append(r)
-        if r.event == "ack-received":
-            padded.append(rec(r.time_ns, "data-sent", r.flow_id,
-                              r.cwnd_after, r.cwnd_after, seq=r.ack))
-    legacy = tmp_path / "legacy.csv"
-    write_trace_csv(padded, legacy)
-    read = read_trace_csv(legacy)
-    assert read == padded and len(read) > len(records)
-    lean_flows, legacy_flows = split_trace(records), split_trace(read)
-    assert legacy_flows.keys() == lean_flows.keys() == {0, 1, 2, 3}
-    decls = [Declaration(f, 2.0 if f == 0 else 1.0, 0, 12 * 10**9)
-             for f in sorted(lean_flows)]
-    for d in decls:
-        assert (analyze_trace(legacy_flows[d.flow_id])
-                == analyze_trace(lean_flows[d.flow_id]))
-        assert verify_declaration(read, d) == verify_declaration(records, d)
-    assert verify_declaration(read, decls[0]).status == "violation"
-    decls_path = tmp_path / "decls.csv"
-    write_declarations_csv(decls, decls_path)
-    printed = []
-    for trace in (lean, legacy):
-        assert main(["police", "--trace", str(trace),
-                     "--declarations", str(decls_path)]) == 0
-        printed.append(capsysbinary.readouterr().out)
-    assert printed[0] == printed[1] and b"violation" in printed[0]
 
 
 def test_csv_readers_reject_malformed(tmp_path):
@@ -284,21 +232,24 @@ def test_csv_readers_reject_malformed(tmp_path):
         read_declarations_csv(bad)
     # a bad data row is reported with its file and line (line 1 is the header)
     for row, problem in [
-            ("1x,0,data-sent,1.0,1.0,5,", "invalid literal for int()"),
-            ("2,0,data-sent,1.0,1.0,zz,", "invalid literal for int()"),
-            ("2,0,data-sent,one,1.0,5,", "could not convert string to float"),
-            ("2,0,ack,1.0,2.0,,5", "unknown event 'ack'"),
-            ("2,0,loss-detected,nan,2.0,,", "non-finite cwnd"),
-            ("2,0,loss-detected,4.0,inf,,", "non-finite cwnd"),
-            ("2,0,timeout,-inf,1.0,,", "non-finite cwnd"),
-            ("2,0,data-sent,1.0,1.0,5", "expected 7 fields, got 6"),
-            ("", "expected 7 fields, got 0"),
+            ("1x,0,ack-received,1.0,2.0,5", "invalid literal for int()"),
+            ("2,0,ack-received,1.0,2.0,zz", "invalid literal for int()"),
+            ("2,0,ack-received,one,2.0,5", "could not convert string to float"),
+            ("2,0,ack,1.0,2.0,5", "unknown event 'ack'"),
+            ("2,0,loss-detected,nan,2.0,", "non-finite cwnd"),
+            ("2,0,loss-detected,4.0,inf,", "non-finite cwnd"),
+            ("2,0,timeout,-inf,1.0,", "non-finite cwnd"),
+            # every row carries the sender's cwnd; an empty one is a bad float
+            ("2,0,loss-detected,,2.0,", "could not convert string to float: ''"),
+            ("2,0,ack-received,4.0,,5", "could not convert string to float: ''"),
+            ("2,0,ack-received,1.0,2.0", "expected 6 fields, got 5"),
+            ("", "expected 6 fields, got 0"),
             # a bad field after fields whose texts repeat line 2's
-            ("2,0,loss-detected,1.0,nan,,", "non-finite cwnd ['1.0', 'nan']"),
-            ("1,0,data-sent,1.0,1.0,zz,",
+            ("2,0,loss-detected,1.0,nan,", "non-finite cwnd ['1.0', 'nan']"),
+            ("1,0,ack-received,1.0,2.0,zz",
              "invalid literal for int() with base 10: 'zz'")]:
         bad.write_text(",".join(TRACE_COLUMNS)
-                       + "\n1,0,data-sent,1.0,1.0,4,\n" + row + "\n")
+                       + "\n1,0,ack-received,1.0,2.0,4\n" + row + "\n")
         with pytest.raises(ValueError) as info:
             read_trace_csv(bad)
         message = str(info.value)
@@ -307,30 +258,26 @@ def test_csv_readers_reject_malformed(tmp_path):
 
 @pytest.mark.parametrize("row, problem", [
     # a bad cwnd_after text is reported before a non-finite cwnd_before
-    ("2,0,loss-detected,nan,abc,,", "could not convert string to float: 'abc'"),
-    # then the time, the flow, seq and ack, in column order
-    ("2y,x,data-sent,1.0,1.0,5,", "invalid literal for int() with base 10: '2y'"),
-    ("2,x,data-sent,1.0,1.0,zz,", "invalid literal for int() with base 10: 'x'"),
-    ("2,x,ack-received,1.0,2.0,,yy",
+    ("2,0,loss-detected,nan,abc,", "could not convert string to float: 'abc'"),
+    # then the time, the flow and the ack, in column order
+    ("2y,x,ack-received,1.0,2.0,5", "invalid literal for int() with base 10: '2y'"),
+    ("2,x,ack-received,1.0,2.0,yy",
      "invalid literal for int() with base 10: 'x'"),
-    ("2,0,data-sent,1.0,1.0,zz,qq",
-     "invalid literal for int() with base 10: 'zz'"),
     # the event and the cwnds come before the integer columns
-    ("2y,0,bogus,1.0,1.0,5,", "unknown event 'bogus', expected one of "
-     "data-sent, ack-received, loss-detected, timeout"),
-    ("2,0,bogus,abc,nan,,", "unknown event 'bogus', expected one of "
-     "data-sent, ack-received, loss-detected, timeout"),
-    ("2y,0,data-sent,one,1.0,5,", "could not convert string to float: 'one'"),
-    ("2y,0,loss-detected,inf,2.0,,", "non-finite cwnd ['inf', '2.0']"),
-    ("2,x,loss-detected,4.0,nan,,", "non-finite cwnd ['4.0', 'nan']"),
-    # a cwnd_before that repeats line 2's cwnd_after, then a bad seq
-    ("2,0,loss-detected,1.0,nan,zz,", "non-finite cwnd ['1.0', 'nan']"),
-    ("2,1,data-sent,1.0,1.0,5,x", "invalid literal for int() with base 10: 'x'"),
-    ("2,x,bogus,1.0,1.0,5", "expected 7 fields, got 6")])
+    ("2y,0,bogus,1.0,2.0,5", "unknown event 'bogus', expected one of "
+     "ack-received, loss-detected, timeout"),
+    ("2,0,bogus,abc,nan,", "unknown event 'bogus', expected one of "
+     "ack-received, loss-detected, timeout"),
+    ("2y,0,ack-received,one,2.0,5", "could not convert string to float: 'one'"),
+    ("2y,0,loss-detected,,2.0,", "could not convert string to float: ''"),
+    ("2y,0,loss-detected,inf,2.0,", "non-finite cwnd ['inf', '2.0']"),
+    ("2,x,loss-detected,4.0,nan,", "non-finite cwnd ['4.0', 'nan']"),
+    ("2,0,loss-detected,1.0,nan,zz", "non-finite cwnd ['1.0', 'nan']"),
+    ("2,x,bogus,1.0,2.0", "expected 6 fields, got 5")])
 def test_trace_reader_reports_the_first_of_two_faults(tmp_path, row, problem):
     bad = tmp_path / "bad.csv"
     bad.write_text(",".join(TRACE_COLUMNS)
-                   + "\n1,0,data-sent,1.0,1.0,4,\n" + row + "\n")
+                   + "\n1,0,ack-received,1.0,2.0,4\n" + row + "\n")
     with pytest.raises(ValueError) as info:
         read_trace_csv(bad)
     assert str(info.value) == f"{bad}, line 3: {problem}"
@@ -353,20 +300,17 @@ def test_trace_writer_matches_csv_writer_on_edge_values():
     a, b = float("1.5"), float("1.5")
     assert a is not b
     records = [
-        rec(1, "data-sent", 0, 1.0, 1.0, seq=0),
-        rec(1, "data-sent", 1, seq=0),                  # wire-only rows
+        rec(1, "ack-received", 0, 1.0, 1.0, ack=0),
         rec(2, "ack-received", 1, ack=1),
         rec(3, "ack-received", 0, 1.0, 3.0, ack=1),
-        rec(3, "data-sent", 0, 1e-05, 1e-05, seq=1),
+        rec(3, "ack-received", 0, 1e-05, 1e-05, ack=1),
         rec(4, "loss-detected", 1, 1.5e+16, 1.0e16),
         rec(5, "ack-received", 0, 1e-05, a, ack=2),     # interleaved flows
-        rec(5, "data-sent", 0, b, b, seq=2),            # equal, not the same
-        rec(6, "data-sent", 1, 1.0e16, 1.0e16, seq=1),
+        rec(5, "ack-received", 0, b, b, ack=2),         # equal, not the same
+        rec(6, "timeout", 1, 1.0e16, 1.0e16),
         rec(7, "timeout", 0, a, 1.0),
-        rec(8, "loss-detected", 0, 1.0, None),
-        rec(9, "ack-received", 0, None, 2.0, ack=3),
-        rec(10, "data-sent", 2, 4, 4, seq=None, ack=None),
-        rec(0, "timeout", 0, 0.1 + 0.2, 1.0, seq=0, ack=0)]
+        rec(10, "loss-detected", 2, 4, 4),              # int cwnds
+        rec(0, "timeout", 0, 0.1 + 0.2, 1.0, ack=0)]
     text = written_trace_csv(records)
     assert text == reference_trace_csv(records)
     assert written_trace_csv([]) == reference_trace_csv([])
@@ -381,9 +325,10 @@ def test_trace_writer_matches_csv_writer_on_a_traced_run(dumbbell_run):
     assert path.read_bytes() == text.encode()
 
 
-@pytest.mark.parametrize("event", ["ack", "data-sent,1", 'a"b', ""])
+@pytest.mark.parametrize("event", ["ack", "data-sent", "data-sent,1", 'a"b',
+                                   ""])
 def test_trace_writer_rejects_an_unknown_event(tmp_path, event):
-    records = [rec(1, "data-sent", seq=0), rec(2, event)]
+    records = [rec(1, "ack-received", ack=0), rec(2, event)]
     with pytest.raises(ValueError, match="unknown event"):
         write_trace_csv(records, tmp_path / "trace.csv")
 

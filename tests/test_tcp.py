@@ -348,14 +348,15 @@ def test_rtt_estimator_sets_rto_from_samples():
 # -- trace records ----------------------------------------------------------
 
 def test_trace_record_is_slotted_frozen_hashable_and_replaceable():
-    r = TraceRecord(5, 0, "data-sent", 2.0, 2.0, 7, None)
+    r = TraceRecord(5, 0, "ack-received", 2.0, 4.0, 7)
     assert not hasattr(r, "__dict__")
     with pytest.raises(dataclasses.FrozenInstanceError):
-        r.seq = 8
-    twin = TraceRecord(time_ns=5, flow_id=0, event="data-sent",
-                       cwnd_before=2.0, cwnd_after=2.0, seq=7, ack=None)
+        r.ack = 8
+    twin = TraceRecord(time_ns=5, flow_id=0, event="ack-received",
+                       cwnd_before=2.0, cwnd_after=4.0, ack=7)
     assert r == twin and hash(r) == hash(twin) and len({r, twin}) == 1
-    acked = dataclasses.replace(r, event="ack-received", seq=None, ack=3)
-    assert (acked.time_ns, acked.event, acked.seq, acked.ack) \
-        == (5, "ack-received", None, 3)
-    assert r.seq == 7 and r.ack is None
+    lost = dataclasses.replace(r, event="loss-detected", cwnd_after=3.0,
+                               ack=None)
+    assert (lost.time_ns, lost.event, lost.cwnd_after, lost.ack) \
+        == (5, "loss-detected", 3.0, None)
+    assert r.ack == 7 and r.cwnd_after == 4.0
