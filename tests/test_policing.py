@@ -273,7 +273,9 @@ def test_csv_readers_reject_malformed(tmp_path):
     ("2y,0,loss-detected,inf,2.0,", "non-finite cwnd ['inf', '2.0']"),
     ("2,x,loss-detected,4.0,nan,", "non-finite cwnd ['4.0', 'nan']"),
     ("2,0,loss-detected,1.0,nan,zz", "non-finite cwnd ['1.0', 'nan']"),
-    ("2,x,bogus,1.0,2.0", "expected 6 fields, got 5")])
+    ("2,x,bogus,1.0,2.0", "expected 6 fields, got 5"),
+    # a row of the old seven-column layout, with its empty seq column
+    ("2,x,ack-received,1.0,2.0,,yy", "expected 6 fields, got 7")])
 def test_trace_reader_reports_the_first_of_two_faults(tmp_path, row, problem):
     bad = tmp_path / "bad.csv"
     bad.write_text(",".join(TRACE_COLUMNS)
