@@ -94,7 +94,7 @@ def split_trace(records) -> dict[int, list[TraceRecord]]:
 
 
 def analyze_trace(records) -> TraceAnalysis:
-    """Estimate the weight behind one flow's trace.
+    """Estimate the weight behind one flow's trace, reading it once.
 
     The reduction-ratio median is the headline whenever at least
     _MIN_DECREASE_SAMPLES loss events are available; otherwise the
@@ -102,11 +102,31 @@ def analyze_trace(records) -> TraceAnalysis:
     indeterminate.  Timeouts never contribute ratios (they collapse the
     window to one segment, which says nothing about N).
     """
-    records = list(records)
-    if len({r.flow_id for r in records}) > 1:
+    ratios: list[float] = []    # cwnd_after / cwnd_before at each reduction
+    windows: list[float] = []   # windows where ack growth fell from +2 to +1
+    flows = set()
+    last_plus2: float | None = None
+    for r in records:
+        flows.add(r.flow_id)
+        event = r.event
+        if event == ACK_RECEIVED:
+            delta = r.cwnd_after - r.cwnd_before
+            if abs(delta - 2.0) < 1e-9:
+                last_plus2 = r.cwnd_before
+                continue
+            if abs(delta - 1.0) < 1e-9 and last_plus2 is not None:
+                windows.append(last_plus2)
+        elif event == LOSS_DETECTED:
+            if r.cwnd_before > 0:
+                ratio = r.cwnd_after / r.cwnd_before
+                if 0.0 < ratio < 1.0:
+                    ratios.append(ratio)
+        elif event != TIMEOUT:
+            raise _unknown_event(event)
+        # anything but +2 growth ends a slow-start episode
+        last_plus2 = None
+    if len(flows) > 1:
         raise ValueError("trace mixes multiple flows; split it first")
-    ratios = _ratios_from_cwnd(records)
-    windows = _crossovers_from_cwnd(records)
 
     decrease_n = None
     if ratios:
@@ -131,34 +151,6 @@ def analyze_trace(records) -> TraceAnalysis:
                          slow_start_samples=len(windows))
 
 
-def _ratios_from_cwnd(records) -> list[float]:
-    """cwnd_after / cwnd_before at each loss event that shrank the window."""
-    ratios = [r.cwnd_after / r.cwnd_before for r in records
-              if r.event == LOSS_DETECTED and r.cwnd_before > 0]
-    return [x for x in ratios if 0.0 < x < 1.0]
-
-
-def _crossovers_from_cwnd(records) -> list[float]:
-    """Window values where ack growth falls from +2 to +1."""
-    windows = []
-    last_plus2: float | None = None
-    for r in records:
-        if r.event in (LOSS_DETECTED, TIMEOUT):
-            last_plus2 = None
-            continue
-        if r.event != ACK_RECEIVED:
-            continue
-        delta = r.cwnd_after - r.cwnd_before
-        if abs(delta - 2.0) < 1e-9:
-            last_plus2 = r.cwnd_before
-        elif abs(delta - 1.0) < 1e-9 and last_plus2 is not None:
-            windows.append(last_plus2)
-            last_plus2 = None
-        else:
-            last_plus2 = None   # congestion-avoidance growth ends the episode
-    return windows
-
-
 @dataclass(frozen=True)
 class ComplianceReport:
     status: str                 # "compliant" | "violation" | "unverifiable"
@@ -178,18 +170,17 @@ def verify_declaration(records, decl: Declaration,
     """
     if not 0.0 <= tolerance < math.inf:
         raise ValueError("tolerance must be non-negative and finite")
-    window = [r for r in records
-              if r.flow_id == decl.flow_id
-              and decl.start_ns <= r.time_ns < decl.end_ns]
-    analysis = analyze_trace(window)
-    if analysis.headline_n is None:
-        return ComplianceReport("unverifiable", decl.declared_n, None,
-                                "indeterminate")
+    analysis = analyze_trace(r for r in records
+                             if r.flow_id == decl.flow_id
+                             and decl.start_ns <= r.time_ns < decl.end_ns)
     observed = analysis.headline_n
-    if observed > decl.declared_n * (1.0 + tolerance):
-        return ComplianceReport("violation", decl.declared_n, observed,
-                                analysis.method)
-    return ComplianceReport("compliant", decl.declared_n, observed,
+    if observed is None:
+        status = "unverifiable"
+    elif observed > decl.declared_n * (1.0 + tolerance):
+        status = "violation"
+    else:
+        status = "compliant"
+    return ComplianceReport(status, decl.declared_n, observed,
                             analysis.method)
 
 
@@ -237,7 +228,8 @@ def write_trace_csv(records, target) -> None:
 
     The bytes are those csv.writer writes: CRLF line ends, a None ack as
     an empty field and a float as its repr.  The events go out unquoted,
-    so an event outside TRACE_EVENTS raises ValueError.
+    so an event outside TRACE_EVENTS raises ValueError, and so does a
+    cwnd that is not a finite number, which read_trace_csv would refuse.
     """
     with _output(target) as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\r\n")
@@ -253,6 +245,12 @@ def _trace_lines(records):
                                                             records):
         if event not in _EVENT_NAMES:
             raise _unknown_event(event)
+        try:
+            finite = math.isfinite(before) and math.isfinite(after)
+        except TypeError:       # None, or not a number at all
+            finite = False
+        if not finite:
+            raise ValueError(f"non-finite cwnd {(before, after)!r}")
         yield (f"{time_ns},{flow_id},{event},{before!r},{after!r},"
                f"{'' if ack is None else ack}\r\n")
 

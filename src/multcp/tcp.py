@@ -453,7 +453,8 @@ class TcpSender:
                     # head hole is sacked, so no further dupacks are coming
                     self.lost.add(self.cum_ack)
             if not self.in_recovery and self.lost:
-                # scoreboard says data is missing even without three dupacks
+                # scoreboard says data is missing even without three dupacks;
+                # after a recovery, holes above its point open a new episode
                 self._enter_recovery(now_ns, sends)
 
         sends.extend(self.pump(now_ns))
@@ -476,8 +477,6 @@ class TcpSender:
             if self.retx_marked:
                 for s in [s for s in self.retx_marked if s < ack]:
                     del self.retx_marked[s]
-            if self._loss_scan_floor < ack:
-                self._loss_scan_floor = ack
 
         self.backoff = 0
         if self._timing_seq is not None and ack > self._timing_seq:
@@ -486,13 +485,13 @@ class TcpSender:
 
         if self.in_recovery:
             if ack >= self.recovery_point:
-                self._exit_recovery(now_ns, sends)
+                self._exit_recovery()
             elif self.variant == "newreno":
                 # partial ack: the next hole is known lost, repair it now
                 self._retransmit(sends, self.cum_ack, now_ns)
                 st.cwnd = max(1.0, st.cwnd - newly + 1.0)
             elif self.variant == "reno":
-                self._exit_recovery(now_ns, sends)
+                self._exit_recovery()
             # sack: stay in recovery, the scoreboard drives retransmissions
         else:
             self.dupacks = 0
@@ -522,16 +521,12 @@ class TcpSender:
         if self.dupacks == DUPACK_THRESHOLD and self.cum_ack > self.guard_point:
             self._enter_recovery(now_ns, sends)
 
-    def _exit_recovery(self, now_ns: int, sends: list[int]) -> None:
-        st = self.state
+    def _exit_recovery(self) -> None:
         self.in_recovery = False
         self.dupacks = 0
         self.retx_marked.clear()
         if self._renoish:
-            st.cwnd = float(st.ssthresh)    # deflate
-        if self._sack and self.lost:
-            # holes above the old recovery point belong to a new episode
-            self._enter_recovery(now_ns, sends)
+            self.state.cwnd = float(self.state.ssthresh)    # deflate
 
     def _enter_recovery(self, now_ns: int, sends: list[int]) -> None:
         st = self.state

@@ -82,6 +82,16 @@ def test_analyze_trace_slow_start_fallback():
     # the last window still growing by +2 (here 6) stands in for the
     # crossover, so the estimate rounds N=2 down a touch
     assert analysis.headline_n == pytest.approx(2.0, rel=0.1)
+    # the input is read once, so a one-shot iterator gives the same verdict
+    assert analyze_trace(iter(records)) == analysis
+    # a loss, a timeout or congestion-avoidance growth between the +2 and
+    # the +1 row ends the episode, so no crossover is seen
+    for ender in [rec(3, "loss-detected", before=8.0, after=7.0),
+                  rec(3, "timeout", before=8.0, after=1.0),
+                  rec(3, "ack-received", before=8.0, after=8.125)]:
+        broken = records[:2] + [ender] + records[2:]
+        assert analyze_trace(broken).slow_start_samples == 0
+        assert analyze_trace(iter(broken)) == analyze_trace(broken)
 
 
 def test_analyze_trace_indeterminate_and_mixed_flow_error():
@@ -89,6 +99,14 @@ def test_analyze_trace_indeterminate_and_mixed_flow_error():
     mixed = [rec(1, "ack-received", flow=0), rec(2, "ack-received", flow=1)]
     with pytest.raises(ValueError):
         analyze_trace(mixed)
+
+
+@pytest.mark.parametrize("event", ["ack", "data-sent", ""])
+def test_analyze_trace_rejects_an_unknown_event(event):
+    # the same vocabulary as the trace reader and writer
+    records = loss_trace(4.0) + [rec(99_000_000, event)]
+    with pytest.raises(ValueError, match=f"unknown event {event!r}"):
+        analyze_trace(records)
 
 
 def test_split_trace_groups_by_flow():
@@ -333,6 +351,17 @@ def test_trace_writer_rejects_an_unknown_event(tmp_path, event):
     records = [rec(1, "ack-received", ack=0), rec(2, event)]
     with pytest.raises(ValueError, match="unknown event"):
         write_trace_csv(records, tmp_path / "trace.csv")
+
+
+@pytest.mark.parametrize("cwnd", [None, float("nan"), float("inf"),
+                                  float("-inf"), "1.0"])
+def test_trace_writer_rejects_a_cwnd_it_could_not_read_back(tmp_path, cwnd):
+    # a row that read_trace_csv would refuse is never written
+    for before, after in [(cwnd, 2.0), (1.0, cwnd)]:
+        records = [rec(1, "ack-received", ack=0),
+                   rec(2, "loss-detected", before=before, after=after)]
+        with pytest.raises(ValueError, match="non-finite cwnd"):
+            write_trace_csv(records, tmp_path / "trace.csv")
 
 
 def test_declarations_reject_non_finite_weight_naming_file_and_line(tmp_path):
