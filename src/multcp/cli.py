@@ -22,7 +22,6 @@ from .engine import SimulationError
 from .fairness import (Network, check_maxmin, check_weighted_pf,
                        maxmin_allocate, wpf_allocate)
 from .allocator import allocate_buffers
-from .harness import ScenarioError
 from .policing import (bill, read_declarations_csv, read_trace_csv,
                        verify_declaration, write_trace_csv)
 from .tcp import VARIANTS
@@ -40,7 +39,7 @@ def main(argv=None) -> int:
         # "Note on SIGPIPE" shows, stdout goes to devnull for the exit flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ScenarioError, SimulationError, ValueError, OSError) as exc:
+    except (SimulationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -201,7 +200,7 @@ def _cmd_model(args) -> int:
 # -- fairness --------------------------------------------------------------
 
 def _load_network(path) -> Network:
-    data = harness._read_yaml(path, ValueError)
+    data = harness._read_yaml(path)
     if not (isinstance(data, dict) and isinstance(data.get("capacities"), dict)
             and isinstance(data.get("routes"), list)
             and all(isinstance(route, list) for route in data["routes"])):

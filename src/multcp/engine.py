@@ -89,8 +89,8 @@ class LinkSpec:
     bandwidth_bps: float
     delay_s: float
     queue: str = "fifo"
-    limit: int = 1000           # packets of backlog before tail drop
-    red: RedParams | None = None    # overrides the scenario default for red queues
+    limit: int | None = None    # fifo only: packets of backlog before tail drop
+    red: RedParams | None = None    # red only: overrides the scenario default
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.bandwidth_bps) and self.bandwidth_bps > 0):
@@ -100,12 +100,21 @@ class LinkSpec:
             raise ValueError(f"link {self.name!r}: delay must be finite "
                              f"and non-negative, got {self.delay_s!r}")
         _check_ns(f"link {self.name!r}: delay", self.delay_s)
-        if self.limit < 1:
-            raise ValueError(f"link {self.name!r}: limit must be at least 1, "
-                             f"got {self.limit!r}")
         if self.queue not in ("fifo", "red"):
             raise ValueError(f"link {self.name!r}: queue must be fifo or red, "
                              f"got {self.queue!r}")
+        if self.queue == "red":
+            if self.limit is not None:
+                raise ValueError(f"link {self.name!r}: a red queue's limit is "
+                                 f"red.limit, not limit, got {self.limit!r}")
+        elif self.red is not None:
+            raise ValueError(f"link {self.name!r}: red parameters are for red "
+                             "links, not fifo ones")
+        elif self.limit is None:
+            object.__setattr__(self, "limit", 1000)     # the fifo default
+        elif self.limit < 1:
+            raise ValueError(f"link {self.name!r}: limit must be at least 1, "
+                             f"got {self.limit!r}")
 
 
 @dataclass(frozen=True)
@@ -192,6 +201,8 @@ class Scenario:
             raise ValueError(f"warmup must be non-negative, got {self.warmup_s!r}")
         _check_ns("duration", self.duration_s)
         _check_ns("warmup", self.warmup_s)
+        if self.duration_s <= self.warmup_s:
+            raise ValueError("duration must exceed warmup")
 
 
 class Packet:

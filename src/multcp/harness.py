@@ -36,12 +36,7 @@ from functools import partial
 from .aqm import RedParams
 from .engine import (FlowSpec, LinkSpec, Scenario, Simulation, SimulationError,
                      s_from_ns)
-from .tcp import VARIANTS, TraceRecord
-
-
-class ScenarioError(ValueError):
-    pass
-
+from .tcp import TraceRecord
 
 # the reference dumbbell's fixed numbers
 _BOTTLENECK_BPS = 10e6
@@ -78,7 +73,7 @@ def build_dumbbell(n_flows: int, params: DumbbellParams | None = None, *,
     per-flow lists.
     """
     if n_flows < 2:
-        raise ScenarioError("a dumbbell needs at least two flows")
+        raise ValueError("a dumbbell needs at least two flows")
     p = params if params is not None else DumbbellParams()
     weights = _per_flow(weights if weights is not None else 1.0, n_flows, "weights")
     variants = _per_flow(variant, n_flows, "variant")
@@ -107,7 +102,7 @@ def build_dumbbell(n_flows: int, params: DumbbellParams | None = None, *,
 def _per_flow(value, n: int, what: str) -> list:
     if isinstance(value, (list, tuple)):
         if len(value) != n:
-            raise ScenarioError(f"{what}: expected {n} entries, got {len(value)}")
+            raise ValueError(f"{what}: expected {n} entries, got {len(value)}")
         return list(value)
     return [value] * n
 
@@ -140,8 +135,6 @@ class RunResult:
 
 def run_scenario(scenario: Scenario) -> RunResult:
     """Simulate to completion, measuring after the warmup."""
-    if scenario.duration_s <= scenario.warmup_s:
-        raise ScenarioError("duration must exceed warmup")
     sim = Simulation(scenario)
     sim.run_until(scenario.warmup_s)
     delivered0 = [f.delivered_bytes() for f in sim.flows]
@@ -220,10 +213,8 @@ def _sweep(variant: str, n_grid, seeds, n_flows: int,
     `weights(n)` gives build_dumbbell's weights for grid point n, and
     `measure(n, seed, result)` turns the cell's RunResult into a sample.
     """
-    if variant not in VARIANTS:
-        raise ScenarioError(f"unknown variant {variant!r}")
     if not n_grid or not seeds:
-        raise ScenarioError("n_grid and seeds must be non-empty")
+        raise ValueError("n_grid and seeds must be non-empty")
     return [measure(n, seed, run_scenario(build_dumbbell(
                 n_flows, params, variant=variant, weights=weights(n), seed=seed)))
             for n in n_grid for seed in seeds]
@@ -375,16 +366,16 @@ def read_csv(path, header, what: str, parse) -> list:
 def load_scenario(path) -> Scenario:
     """Read a YAML scenario file (see scenario_from_dict for the schema)."""
     try:
-        data = _read_yaml(path, ScenarioError)
+        data = _read_yaml(path)
     except OSError as exc:
-        raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
+        raise ValueError(f"cannot read scenario {path}: {exc}") from exc
     if not isinstance(data, dict):
-        raise ScenarioError(f"{path}: top level must be a mapping")
+        raise ValueError(f"{path}: top level must be a mapping")
     return scenario_from_dict(data)
 
 
-def _read_yaml(path, error: type[Exception]):
-    """Parse a YAML file; invalid YAML raises `error` naming the file."""
+def _read_yaml(path):
+    """Parse a YAML file; invalid YAML raises ValueError naming the file."""
     import yaml     # on first use, so that importing multcp does not load it
 
     with open(path) as fh:
@@ -397,53 +388,50 @@ def _read_yaml(path, error: type[Exception]):
             problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
             if mark is not None:
                 problem += f" (line {mark.line + 1}, column {mark.column + 1})"
-            raise error(f"{path} is not valid YAML: {problem}") from exc
+            raise ValueError(f"{path} is not valid YAML: {problem}") from exc
 
 
 def scenario_from_dict(data: dict) -> Scenario:
     """Build a Scenario from plain mappings.
 
     Required keys: links (list of {name, bandwidth, delay, queue?,
-    limit?, red?}), flows (list of {route, variant?, n?, start?,
-    jitter?, stop?, bulk_bytes?, ssthresh?, advertised_bytes?}) and
-    duration.  Optional top-level keys: warmup, seed, payload, red.
+    limit? on fifo, red? on red}), flows (list of {route, variant?, n?,
+    start?, jitter?, stop?, bulk_bytes?, ssthresh?, advertised_bytes?})
+    and duration.  Optional top-level keys: warmup, seed, payload, red.
     An absent or null key takes the spec class's default; a flow's
     variant defaults to sack.  Bandwidths are bits/second, delays and
     times are seconds.  A file cannot ask for a trace: the library sets
     `Scenario.trace`, and `multcp simulate` traces only for --trace-out.
     """
-    scenario = _build(Scenario, _TOP, data, "")
-    if scenario.duration_s <= scenario.warmup_s:
-        raise ScenarioError("duration must exceed warmup")
-    return scenario
+    return _build(Scenario, _TOP, data, "")
 
 
 def _build(cls, rows, entry, where: str, **kwargs):
     """cls(**kwargs) filled from the mapping `entry` as `rows` say."""
     at = where or "scenario"
     if not isinstance(entry, dict):
-        raise ScenarioError(f"{at} must be a mapping")
+        raise ValueError(f"{at} must be a mapping")
     unknown = set(entry) - {key for key, _, _ in rows}
     if unknown:
-        raise ScenarioError(f"{at}: unknown keys {sorted(unknown, key=str)}")
+        raise ValueError(f"{at}: unknown keys {sorted(unknown, key=str)}")
     required = {f.name for f in fields(cls)
                 if f.default is MISSING and f.default_factory is MISSING}
     for key, name, convert in rows:
         if entry.get(key) is not None:
             kwargs[name] = convert(entry[key], f"{where}.{key}" if where else key)
         elif name in required and name not in kwargs:
-            raise ScenarioError(f"{at} is missing required key {key!r}")
+            raise ValueError(f"{at} is missing required key {key!r}")
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}" if where else str(exc)) from exc
+        raise ValueError(f"{where}: {exc}" if where else str(exc)) from exc
 
 
 def _only(kind: type, what: str):
     """A converter that passes values of `kind` alone; bool is no int."""
     def convert(value, path: str):
         if not isinstance(value, kind) or isinstance(value, bool):
-            raise ScenarioError(f"{path}: expected {what}, got {value!r}")
+            raise ValueError(f"{path}: expected {what}, got {value!r}")
         return value
     return convert
 
@@ -458,14 +446,14 @@ def _float(value, path: str) -> float:
             return float(value)
     except (ValueError, OverflowError):
         pass
-    raise ScenarioError(f"{path}: expected a number, got {value!r}")
+    raise ValueError(f"{path}: expected a number, got {value!r}")
 
 
 def _each(convert):
     """A converter from a non-empty list to a tuple, item by item."""
     def each(value, path: str) -> tuple:
         if not isinstance(value, list) or not value:
-            raise ScenarioError(f"{path} must be a non-empty list")
+            raise ValueError(f"{path} must be a non-empty list")
         return tuple(convert(item, f"{path}[{i}]") for i, item in enumerate(value))
     return each
 

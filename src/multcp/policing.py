@@ -227,9 +227,10 @@ def write_trace_csv(records, target) -> None:
     """Write trace records to a path or an open text stream.
 
     The bytes are those csv.writer writes: CRLF line ends, a None ack as
-    an empty field and a float as its repr.  The events go out unquoted,
-    so an event outside TRACE_EVENTS raises ValueError, and so does a
-    cwnd that is not a finite number, which read_trace_csv would refuse.
+    an empty field and a float as its repr.  A record read_trace_csv would
+    refuse raises ValueError: an event outside TRACE_EVENTS, a time, flow
+    or ack not of type int (a None ack aside), or a cwnd not a finite int
+    or float.
     """
     with _output(target) as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\r\n")
@@ -245,12 +246,14 @@ def _trace_lines(records):
                                                             records):
         if event not in _EVENT_NAMES:
             raise _unknown_event(event)
-        try:
-            finite = math.isfinite(before) and math.isfinite(after)
-        except TypeError:       # None, or not a number at all
-            finite = False
-        if not finite:
-            raise ValueError(f"non-finite cwnd {(before, after)!r}")
+        if not (type(time_ns) is int and type(flow_id) is int
+                and (ack is None or type(ack) is int)):
+            raise ValueError("time and flow must be ints and ack an int or "
+                             f"None, got {(time_ns, flow_id, ack)!r}")
+        if not (type(before) in (int, float) and type(after) in (int, float)
+                and math.isfinite(before) and math.isfinite(after)):
+            raise ValueError("cwnd must be a finite int or float, got "
+                             f"{(before, after)!r}")
         yield (f"{time_ns},{flow_id},{event},{before!r},{after!r},"
                f"{'' if ack is None else ack}\r\n")
 

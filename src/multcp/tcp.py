@@ -556,8 +556,6 @@ class TcpSender:
 
     def update_scoreboard(self) -> None:
         """Mark a hole lost once the highest sack sits three segments past it."""
-        if not self.sacked.total:
-            return
         # Never mark beyond next_seq: after a timeout rewind the region above
         # it is handled by the ordinary resend path, not by hole repair.
         sacked, lost, retx_marked = self.sacked, self.lost, self.retx_marked

@@ -20,7 +20,8 @@ def two_flow_scenario(seed=0, queue="red", duration=8.0, **red_kw):
     red = RedParams(**red_kw) if red_kw else RedParams()
     links = (
         LinkSpec(name="bn", bandwidth_bps=2e6, delay_s=0.010, queue=queue,
-                 red=red if queue == "red" else None, limit=25),
+                 red=red if queue == "red" else None,
+                 limit=25 if queue == "fifo" else None),
         LinkSpec(name="a0", bandwidth_bps=10e6, delay_s=0.005),
         LinkSpec(name="a1", bandwidth_bps=10e6, delay_s=0.008),
     )
@@ -102,6 +103,24 @@ def test_unknown_queue_type_rejected():
     with pytest.raises(ValueError, match="^link 'x': queue must be fifo or "
                                          "red, got 'codel'$"):
         LinkSpec(name="x", bandwidth_bps=1e6, delay_s=0.01, queue="codel")
+
+
+def test_link_keys_its_queue_never_reads_rejected():
+    # a red queue's hard limit is red.limit, and a fifo link reads no red
+    with pytest.raises(ValueError, match="^link 'x': a red queue's limit is "
+                                         "red.limit, not limit, got 1$"):
+        LinkSpec(name="x", bandwidth_bps=1e6, delay_s=0.01, queue="red",
+                 limit=1)
+    with pytest.raises(ValueError, match="^link 'y': red parameters are for "
+                                         "red links, not fifo ones$"):
+        LinkSpec(name="y", bandwidth_bps=1e6, delay_s=0.01,
+                 red=RedParams(thresh=1, maxthresh=2, limit=3))
+    with pytest.raises(ValueError, match="^link 'z': limit must be at least 1, "
+                                         "got 0$"):
+        LinkSpec(name="z", bandwidth_bps=1e6, delay_s=0.01, limit=0)
+    assert LinkSpec(name="z", bandwidth_bps=1e6, delay_s=0.01).limit == 1000
+    assert LinkSpec(name="x", bandwidth_bps=1e6, delay_s=0.01,
+                    queue="red").limit is None
 
 
 def test_route_over_unknown_link_rejected():

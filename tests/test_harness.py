@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import re
 
 import pytest
 import yaml
@@ -9,7 +10,7 @@ import yaml
 from multcp.aqm import RedParams
 from multcp.engine import Scenario
 from multcp.harness import (BOTTLENECK, DumbbellParams, FairnessSample,
-                            GainSample, ScenarioError, build_dumbbell,
+                            GainSample, build_dumbbell,
                             dispersion, load_scenario, run_gain_experiment,
                             run_scenario, scenario_from_dict,
                             summarize_fairness, summarize_gain,
@@ -49,11 +50,11 @@ def test_dumbbell_scalar_and_list_parameters():
     assert [f.variant for f in scn.flows] == ["sack", "reno", "tahoe"]
     assert [f.variant for f in build_dumbbell(3, variant="reno").flows] \
         == ["reno"] * 3
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ValueError, match=r"^weights: expected 3 entries, got 2$"):
         build_dumbbell(3, weights=[1.0, 2.0])
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ValueError, match=r"^variant: expected 3 entries, got 2$"):
         build_dumbbell(3, variant=["sack", "reno"])
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ValueError, match="^a dumbbell needs at least two flows$"):
         build_dumbbell(1)
     # FlowSpec checks the name itself, so a library caller learns of it
     # when building, not from inside a run
@@ -78,9 +79,10 @@ def test_run_scenario_measures_after_warmup():
 
 
 def test_run_scenario_rejects_warmup_past_duration():
-    scn = dataclasses.replace(build_dumbbell(4, QUICK), warmup_s=20.0)
-    with pytest.raises(ScenarioError):
-        run_scenario(scn)
+    # the Scenario itself refuses it, so no run can start
+    scn = build_dumbbell(4, QUICK)
+    with pytest.raises(ValueError, match="^duration must exceed warmup$"):
+        dataclasses.replace(scn, warmup_s=20.0)
 
 
 def test_saturating_run_uses_the_bottleneck_well():
@@ -97,9 +99,11 @@ def test_gain_experiment_shapes_and_summary():
     assert all(s.gain == s.heavy_Bps / s.reference_Bps for s in samples)
     summary, = summarize_gain(samples)
     assert summary.seeds == 2
-    with pytest.raises(ScenarioError):
+    # FlowSpec names the variants it knows
+    with pytest.raises(ValueError, match="^variant must be one of tahoe, reno, "
+                       "newreno, sack, got 'cubic'$"):
         run_gain_experiment("cubic", [1], [0])
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ValueError, match="^n_grid and seeds must be non-empty$"):
         run_gain_experiment("sack", [], [0])
 
 
@@ -142,27 +146,38 @@ def test_load_scenario_reads_yaml_file(tmp_path):
     path = tmp_path / "scn.yaml"
     path.write_text(yaml.safe_dump(GOOD_YAML))
     assert load_scenario(path) == scenario_from_dict(GOOD_YAML)
-    with pytest.raises(ScenarioError):
-        load_scenario(tmp_path / "missing.yaml")
+    missing = tmp_path / "missing.yaml"
+    with pytest.raises(ValueError, match="^cannot read scenario "
+                       f"{re.escape(str(missing))}: "):
+        load_scenario(missing)
     bad = tmp_path / "bad.yaml"
     bad.write_text("links: [")
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(str(bad))} is not valid YAML: "):
         load_scenario(bad)
 
 
-@pytest.mark.parametrize("mangle", [
-    lambda d: d.pop("duration"),
-    lambda d: d.update(duration=0.5, warmup=2.0),
-    lambda d: d.update(unknown_key=1),
-    lambda d: d["links"][0].update(typo=3),
-    lambda d: d["flows"][0].update(variant="bbr"),
-    lambda d: d["flows"][0].pop("route"),
-    lambda d: d["links"][0]["red"].update(thresh=99),
-])
+# each change to GOOD_YAML, and the whole message that it must raise
+INVALID = [
+    (lambda d: d.pop("duration"), "scenario is missing required key 'duration'"),
+    (lambda d: d.update(duration=0.5, warmup=2.0), "duration must exceed warmup"),
+    (lambda d: d.update(unknown_key=1), "scenario: unknown keys ['unknown_key']"),
+    (lambda d: d["links"][0].update(typo=3), "links[0]: unknown keys ['typo']"),
+    (lambda d: d["flows"][0].update(variant="bbr"),
+     "flows[0]: variant must be one of tahoe, reno, newreno, sack, got 'bbr'"),
+    (lambda d: d["flows"][0].pop("route"),
+     "flows[0] is missing required key 'route'"),
+    (lambda d: d["links"][0]["red"].update(thresh=99),
+     "links[0].red: need 0 < thresh < maxthresh"),
+]
+
+
+@pytest.mark.parametrize("mangle", [mangle for mangle, _ in INVALID])
 def test_scenario_from_dict_validation(mangle):
     data = yaml.safe_load(yaml.safe_dump(GOOD_YAML))    # deep copy
     mangle(data)
-    with pytest.raises(ScenarioError):
+    message = dict(INVALID)[mangle]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         scenario_from_dict(data)
 
 

@@ -2,10 +2,13 @@
 
 Importing multcp, simulating a scenario and policing a trace need none of
 the numeric stack; each check runs in a fresh interpreter, because this
-test process has numpy loaded already.
+test process has numpy loaded already.  Two checks read the module ASTs
+instead: no module imports scipy, and the package defines one exception
+class.
 """
 
 import ast
+import builtins
 import json
 import os
 import subprocess
@@ -101,3 +104,21 @@ def test_no_module_imports_scipy():
                 continue
             assert not any(name.split(".")[0] == "scipy" for name in names), \
                 (path.name, node.lineno)
+
+
+def test_the_package_defines_one_exception_class():
+    # bad input raises the builtin ValueError; only a run that fails has
+    # a class of its own
+    bases = {}      # "module.Class" -> the last part of each base's name
+    for path in sorted((ROOT / "src" / "multcp").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                bases[f"{path.stem}.{node.name}"] = {
+                    ast.unparse(base).split(".")[-1] for base in node.bases}
+    errors = {name for name, value in vars(builtins).items()
+              if isinstance(value, type) and issubclass(value, BaseException)}
+    found = set()
+    for _ in bases:     # one pass per class reaches the end of any chain
+        found |= {cls for cls, names in bases.items() if names & errors}
+        errors |= {cls.split(".")[-1] for cls in found}
+    assert found == {"engine.SimulationError"}

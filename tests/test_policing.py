@@ -354,14 +354,31 @@ def test_trace_writer_rejects_an_unknown_event(tmp_path, event):
 
 
 @pytest.mark.parametrize("cwnd", [None, float("nan"), float("inf"),
-                                  float("-inf"), "1.0"])
+                                  float("-inf"), "1.0", True])
 def test_trace_writer_rejects_a_cwnd_it_could_not_read_back(tmp_path, cwnd):
     # a row that read_trace_csv would refuse is never written
     for before, after in [(cwnd, 2.0), (1.0, cwnd)]:
         records = [rec(1, "ack-received", ack=0),
                    rec(2, "loss-detected", before=before, after=after)]
-        with pytest.raises(ValueError, match="non-finite cwnd"):
+        with pytest.raises(ValueError, match="^cwnd must be a finite int or "
+                                             "float, got "):
             write_trace_csv(records, tmp_path / "trace.csv")
+
+
+@pytest.mark.parametrize("time_ns, flow, ack", [
+    (None, 0, 0), (1.5, 0, 0), (True, 0, 0), (2, 0.0, 0), (2, False, 0),
+    (2, 0, 1.5), (2, 0, True), (2, 0, "3")])
+def test_trace_writer_rejects_a_time_flow_or_ack_it_could_not_read_back(
+        tmp_path, time_ns, flow, ack):
+    records = [rec(1, "ack-received", ack=0),
+               rec(time_ns, "ack-received", flow=flow, ack=ack)]
+    with pytest.raises(ValueError, match="^time and flow must be ints and ack "
+                                         "an int or None, got "):
+        write_trace_csv(records, tmp_path / "trace.csv")
+    # the int-valued record is written, and read back as it was
+    records[1] = rec(2, "ack-received", ack=3)
+    write_trace_csv(records, tmp_path / "trace.csv")
+    assert read_trace_csv(tmp_path / "trace.csv") == records
 
 
 def test_declarations_reject_non_finite_weight_naming_file_and_line(tmp_path):
