@@ -25,9 +25,9 @@ def main(variants):
         print(f"{variant}: measured gain vs weight "
               f"({len(SEEDS)} seeds, 60 s measured)")
         for s in summarize_gain(samples):
-            bar = "#" * round(4 * s.mean_gain)
-            print(f"  N={s.n_weight:3g}  gain {s.mean_gain:5.2f} "
-                  f"(std {s.std_gain:4.2f})  {bar}")
+            bar = "#" * round(4 * s.mean)
+            print(f"  N={s.n_weight:3g}  gain {s.mean:5.2f} "
+                  f"(std {s.std:4.2f})  {bar}")
         print()
 
 

@@ -13,6 +13,9 @@ exactly.
 
 from __future__ import annotations
 
+import math
+import sys
+
 
 def allocate_buffers(prices: dict[int, float], budget_bytes: int,
                      segment_bytes: int) -> dict[int, int]:
@@ -32,11 +35,17 @@ def allocate_buffers(prices: dict[int, float], budget_bytes: int,
         if price <= 0:
             raise ValueError(f"connection {conn_id} must have a positive price")
     total_price = sum(prices.values())
+    if not math.isfinite(total_price):
+        raise ValueError(f"prices must sum to a finite float, got {total_price!r}")
+    top = min(prices, key=lambda c: (-prices[c], c))
+    # each share is budget * price / total in floats, so that product must fit
+    if not budget_bytes <= sys.float_info.max / max(1.0, prices[top]):
+        raise ValueError(f"budget times the highest price {prices[top]!r} "
+                         "is not a finite float")
     out = {}
     for conn_id, price in prices.items():
         exact = budget_bytes * price / total_price
         out[conn_id] = int(exact // segment_bytes) * segment_bytes
     residual = budget_bytes - sum(out.values())
-    top = min(prices, key=lambda c: (-prices[c], c))
     out[top] += residual
     return out

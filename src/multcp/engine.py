@@ -41,7 +41,8 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 from .aqm import RedParams, RedQueue
-from .tcp import VARIANTS, TcpReceiver, TcpSender, TraceRecord
+from .tcp import (VARIANTS, TcpReceiver, TcpSender, TraceRecord,
+                  slow_start_crossover)
 
 NS_PER_SEC = 1_000_000_000
 
@@ -143,6 +144,11 @@ class FlowSpec:
             if not (math.isfinite(value) and value >= least):
                 raise ValueError(f"{key} must be finite and at least {least}, "
                                  f"got {value!r}")
+        try:
+            slow_start_crossover(self.n_weight)
+        except ValueError:
+            raise ValueError("n is too large: its slow-start crossover overflows "
+                             f"a float, got {self.n_weight!r}") from None
         if self.bulk_bytes is not None and not self.bulk_bytes >= 1:
             raise ValueError(f"bulk_bytes must be at least 1, got {self.bulk_bytes!r}")
         if self.ssthresh < 2:

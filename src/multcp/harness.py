@@ -30,7 +30,7 @@ from __future__ import annotations
 import csv
 import statistics
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, astuple, dataclass, fields
 from functools import partial
 
 from .aqm import RedParams
@@ -174,15 +174,6 @@ class GainSample:
     reference_Bps: float
 
 
-@dataclass(frozen=True)
-class GainSummary:
-    variant: str
-    n_weight: float
-    mean_gain: float
-    std_gain: float     # sample standard deviation over seeds
-    seeds: int
-
-
 def run_gain_experiment(variant: str, n_grid, seeds, *, n_flows: int = 22,
                         params: DumbbellParams | None = None) -> list[GainSample]:
     """Weighted flow 0 against unweighted flow 1 over background traffic."""
@@ -199,12 +190,39 @@ def run_gain_experiment(variant: str, n_grid, seeds, *, n_flows: int = 22,
                   lambda n: [float(n)] + [1.0] * (n_flows - 1), measure)
 
 
-def summarize_gain(samples) -> list[GainSummary]:
-    return [GainSummary(variant=variant, n_weight=n, mean_gain=mean,
-                        std_gain=std, seeds=count)
-            for (variant, n), mean, std, count in _group_stats(
-                samples, lambda s: (s.variant, s.n_weight), lambda s: s.gain)]
+# -- fairness experiment ---------------------------------------------------
 
+@dataclass(frozen=True)
+class FairnessSample:
+    variant: str
+    n_weight: float
+    seed: int
+    std_over_mean: float
+
+
+def run_fairness_experiment(n_grid, seeds, *, variant: str = "sack",
+                            n_flows: int = 22,
+                            params: DumbbellParams | None = None
+                            ) -> list[FairnessSample]:
+    """All flows share one weight; dispersion of RTT-normalized throughput."""
+    return _sweep(variant, n_grid, seeds, n_flows, params, float,
+                  lambda n, seed, result: FairnessSample(
+                      variant=variant, n_weight=float(n), seed=seed,
+                      std_over_mean=dispersion(result.flows)))
+
+
+def dispersion(flows) -> float:
+    """std/mean of throughput * base RTT; zero for a single flow."""
+    normalized = [f.throughput_Bps * f.base_rtt_s for f in flows]
+    if len(normalized) < 2:
+        return 0.0
+    mean = statistics.fmean(normalized)
+    if mean <= 0:
+        raise SimulationError("dispersion undefined: zero mean throughput")
+    return statistics.stdev(normalized) / mean
+
+
+# -- sweeps ----------------------------------------------------------------
 
 def _sweep(variant: str, n_grid, seeds, n_flows: int,
            params: DumbbellParams | None, weights, measure) -> list:
@@ -220,60 +238,31 @@ def _sweep(variant: str, n_grid, seeds, n_flows: int,
             for n in n_grid for seed in seeds]
 
 
-def _group_stats(samples, key, value):
-    """(key, mean, sample stdev or 0 for one sample, count) per sorted key."""
-    groups: dict = {}
-    for s in samples:
-        groups.setdefault(key(s), []).append(value(s))
-    for k in sorted(groups):
-        vals = groups[k]
-        std = statistics.stdev(vals) if len(vals) > 1 else 0.0
-        yield k, statistics.fmean(vals), std, len(vals)
-
-
-# -- fairness experiment ---------------------------------------------------
-
 @dataclass(frozen=True)
-class FairnessSample:
-    n_weight: float
-    seed: int
-    std_over_mean: float
-
-
-@dataclass(frozen=True)
-class FairnessSummary:
+class Summary:
+    variant: str
     n_weight: float
     mean: float
-    std: float
+    std: float          # sample standard deviation over seeds, 0 for one
     seeds: int
 
 
-def run_fairness_experiment(n_grid, seeds, *, variant: str = "sack",
-                            n_flows: int = 22,
-                            params: DumbbellParams | None = None
-                            ) -> list[FairnessSample]:
-    """All flows share one weight; dispersion of RTT-normalized throughput."""
-    return _sweep(variant, n_grid, seeds, n_flows, params, float,
-                  lambda n, seed, result: FairnessSample(
-                      n_weight=float(n), seed=seed,
-                      std_over_mean=dispersion(result.flows)))
+def summarize_gain(samples) -> list[Summary]:
+    return _summarize(samples, "gain")
 
 
-def dispersion(flows) -> float:
-    """std/mean of throughput * base RTT; zero for a single flow."""
-    normalized = [f.throughput_Bps * f.base_rtt_s for f in flows]
-    if len(normalized) < 2:
-        return 0.0
-    mean = statistics.fmean(normalized)
-    if mean <= 0:
-        raise SimulationError("dispersion undefined: zero mean throughput")
-    return statistics.stdev(normalized) / mean
+def summarize_fairness(samples) -> list[Summary]:
+    return _summarize(samples, "std_over_mean")
 
 
-def summarize_fairness(samples) -> list[FairnessSummary]:
-    return [FairnessSummary(n_weight=n, mean=mean, std=std, seeds=count)
-            for n, mean, std, count in _group_stats(
-                samples, lambda s: s.n_weight, lambda s: s.std_over_mean)]
+def _summarize(samples, attr: str) -> list[Summary]:
+    """One Summary of the samples' `attr` per (variant, n_weight), sorted."""
+    groups: dict = {}
+    for s in samples:
+        groups.setdefault((s.variant, s.n_weight), []).append(getattr(s, attr))
+    return [Summary(variant, n, statistics.fmean(vals),
+                    statistics.stdev(vals) if len(vals) > 1 else 0.0, len(vals))
+            for (variant, n), vals in sorted(groups.items())]
 
 
 # -- CSV output ------------------------------------------------------------
@@ -282,14 +271,9 @@ def summarize_fairness(samples) -> list[FairnessSummary]:
 # stream such as sys.stdout; both receive the same bytes.
 
 def write_run_csv(result: RunResult, target) -> None:
-    write_csv(target,
-              ("seed", "flow_id", "variant", "n_weight", "throughput_Bps",
-               "base_rtt_s", "delivered_bytes", "drops", "retransmits",
-               "timeouts", "fast_retransmits"),
-              [(result.seed, f.flow_id, f.variant, f.n_weight,
-                f.throughput_Bps, f.base_rtt_s, f.delivered_bytes, f.drops,
-                f.retransmits, f.timeouts, f.fast_retransmits)
-               for f in result.flows])
+    """One row per flow: the seed, then FlowResult's fields in order."""
+    write_csv(target, ("seed", *(f.name for f in fields(FlowResult))),
+              [(result.seed, *astuple(f)) for f in result.flows])
 
 
 def write_gain_csv(samples, target) -> None:
@@ -299,7 +283,7 @@ def write_gain_csv(samples, target) -> None:
 
 def write_gain_summary_csv(summaries, target) -> None:
     write_csv(target, ("variant", "n", "mean_gain", "std_gain", "seeds"),
-              [(s.variant, s.n_weight, s.mean_gain, s.std_gain, s.seeds)
+              [(s.variant, s.n_weight, s.mean, s.std, s.seeds)
                for s in summaries])
 
 

@@ -44,21 +44,27 @@ def multcp_throughput(n_weight: float, p: float, packet_bytes: float,
     """Long-run throughput in bytes/second at loss rate p.
 
     T = sqrt(2 N (N - 1/4)) * B / (R sqrt(p)).  With N = 1 this is the
-    standard sqrt(3/2) * B / (R sqrt(p)) rule.
+    standard sqrt(3/2) * B / (R sqrt(p)) rule.  Inputs whose T is not
+    a finite float raise ValueError.
     """
     _check_inputs(n_weight, p, packet_bytes, rtt_s)
-    return math.sqrt(2.0 * n_weight * (n_weight - 0.25)) * packet_bytes \
-        / (rtt_s * math.sqrt(p))
+    numerator = math.sqrt(2.0 * n_weight * (n_weight - 0.25)) * packet_bytes
+    denominator = rtt_s * math.sqrt(p)     # 0.0 once the product underflows
+    return _finite(numerator / denominator if denominator else math.inf,
+                   "throughput", n_weight=n_weight, p=p,
+                   packet_bytes=packet_bytes, rtt_s=rtt_s)
 
 
 def gain_ratio(n_weight: float) -> float:
     """Predicted throughput relative to an unweighted connection at equal p.
 
     Equals sqrt((4 N^2 - N) / 3); exactly 1 at N = 1, slightly above N
-    for larger weights, within 15% of N for N up to 10.
+    for larger weights, within 15% of N for N up to 10.  Past N of about
+    6.7e153 the ratio is not a finite float, and that N raises ValueError.
     """
     _check_weight(n_weight)
-    return math.sqrt((4.0 * n_weight * n_weight - n_weight) / 3.0)
+    return _finite(math.sqrt((4.0 * n_weight * n_weight - n_weight) / 3.0),
+                   "gain ratio", n_weight=n_weight)
 
 
 @dataclass(frozen=True)
@@ -114,6 +120,14 @@ def _check_inputs(n_weight: float, p: float, packet_bytes: float,
     _check_loss(p)
     if not (0.0 < packet_bytes < math.inf and 0.0 < rtt_s < math.inf):
         raise ValueError("packet_bytes and rtt_s must be positive and finite")
+
+
+def _finite(value: float, what: str, **inputs: float) -> float:
+    """`value` if it is finite, else ValueError naming the inputs."""
+    if not math.isfinite(value):
+        given = ", ".join(f"{name}={v!r}" for name, v in inputs.items())
+        raise ValueError(f"{what} is not a finite float at {given}")
+    return value
 
 
 def _check_weight(n_weight: float) -> None:

@@ -29,7 +29,6 @@ from .tcp import (ACK_RECEIVED, LOSS_DETECTED, TIMEOUT, TRACE_EVENTS,
                   TraceRecord)
 
 TRACE_COLUMNS = tuple(f.name for f in fields(TraceRecord))
-DECLARATION_COLUMNS = ("flow_id", "declared_n", "start_ns", "end_ns")
 
 # inverse of the slow-start crossover 3 ** (log N / (log 3 - log 2))
 _SS_EXPONENT = (math.log(3.0) - math.log(2.0)) / math.log(3.0)
@@ -52,6 +51,9 @@ class Declaration:
                              f"got {self.declared_n!r}")
         if self.start_ns >= self.end_ns:
             raise ValueError("declaration interval must have start < end")
+
+
+DECLARATION_COLUMNS = tuple(f.name for f in fields(Declaration))
 
 
 def estimate_n_from_decrease(ratio: float) -> float:

@@ -44,11 +44,16 @@ def slow_start_crossover(n_weight: float) -> float:
     acks a doubling normally takes, so the aggregate of N connections is
     emulated by keeping the fast rate until the window reaches
     3 ** (log N / (log 3 - log 2)), i.e. N windows' worth of doubling
-    compressed into one connection.
+    compressed into one connection.  Past N of about 5.86e113 the crossover
+    overflows a float, and that N raises ValueError.
     """
-    if n_weight < 1.0:
+    if not n_weight >= 1.0:
         raise ValueError("n_weight must be >= 1")
-    return 3.0 ** (math.log(n_weight) / (math.log(3.0) - math.log(2.0)))
+    try:
+        return 3.0 ** (math.log(n_weight) / (math.log(3.0) - math.log(2.0)))
+    except OverflowError:
+        raise ValueError(f"n_weight {n_weight!r} is too large: its slow-start "
+                         "crossover overflows a float") from None
 
 
 @dataclass

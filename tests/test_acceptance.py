@@ -126,14 +126,14 @@ def test_criterion_4_gain_curves(gain_matrix):
     checks = []
     for variant in ALL_VARIANTS:          # (a) low-N proportionality
         for n in (1.0, 1.5, 2.0):
-            mean = g[(variant, n)].mean_gain
+            mean = g[(variant, n)].mean
             checks.append((f"{variant}@{n:g}={mean:.2f}",
                            abs(mean - n) / n <= 0.35))
     for variant in ("tahoe", "reno", "newreno"):   # (b) plateau
-        mean = g[(variant, 8.0)].mean_gain
+        mean = g[(variant, 8.0)].mean
         checks.append((f"{variant}@8={mean:.2f}<=3", mean <= 3.0))
     for n in (4.0, 8.0):                  # (c) sack keeps scaling
-        mean = g[("sack", n)].mean_gain
+        mean = g[("sack", n)].mean
         checks.append((f"sack@{n:g}={mean:.2f}", abs(mean - n) / n <= 0.30))
     elapsed = gain_matrix["elapsed_s"]
     ok = all(passed for _, passed in checks) and elapsed < 600.0
@@ -348,6 +348,6 @@ def test_invariant_weight_one_is_symmetric(gain_matrix):
 @pytest.mark.slow
 def test_invariant_loss_repair_limits_the_plateau(gain_matrix):
     g = gain_matrix["summaries"]
-    sack8 = g[("sack", 8.0)].mean_gain
+    sack8 = g[("sack", 8.0)].mean
     for variant in ("tahoe", "reno", "newreno"):
-        assert g[(variant, 8.0)].mean_gain < sack8
+        assert g[(variant, 8.0)].mean < sack8

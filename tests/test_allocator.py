@@ -28,3 +28,10 @@ def test_allocate_validation():
         allocate_buffers({1: 0.0}, 1000, 100)
     with pytest.raises(ValueError):
         allocate_buffers({1: 1.0}, 1000, 0)
+    # a price sum, or a budget times the highest price, past the float range
+    with pytest.raises(ValueError, match="^prices must sum to a finite float"):
+        allocate_buffers({1: 1e308, 2: 1e308}, 1000, 100)
+    with pytest.raises(ValueError, match="^budget times the highest price 2.0 "):
+        allocate_buffers({1: 1.0, 2: 2.0}, 10**309, 100)
+    with pytest.raises(ValueError, match="^budget times the highest price 1e"):
+        allocate_buffers({1: 1e300, 2: 1e300}, 10**9, 100)

@@ -87,6 +87,8 @@ def test_simulate_stdout_matches_output_file(tmp_path, capsysbinary):
     ("top", "warmup", -1.0, "warmup"),
     ("flows", "n", float("inf"), "n must be"),
     ("flows", "n", float("nan"), "n must be"),
+    ("flows", "n", 1.0e200, "error: flows[0]: n is too large: its slow-start "
+     "crossover overflows a float, got 1e+200"),
     ("flows", "start", -1.0, "start must be"),
     ("flows", "jitter", -0.5, "jitter must be"),
     ("flows", "bulk_bytes", 0, "bulk_bytes must be"),
@@ -353,6 +355,21 @@ def test_fairness_check_rejects_bad_network(tmp_path, capsys, text, args,
     (["model", "--rtt", "inf"], "rtt_s"),
     (["model", "--packet", "inf"], "packet_bytes"),
     (["model", "--rtt", "nan", "--oracle"], "rtt_s"),
+    # finite inputs whose results are not: an n whose slow-start crossover
+    # overflows, a closed form that overflows (or divides by an underflow),
+    # and buffer shares past the float range
+    (["sweep", "gain", "--variant", "sack", "--seeds", "1", "--flows", "2",
+      "--n-grid", "1e308"], "n is too large"),
+    (["model", "--n-grid", "1e200", "--p-grid", "0.001"],
+     "throughput is not a finite float at n_weight=1e+200"),
+    (["model", "--rtt", "1e-320"], "rtt_s=1e-320"),
+    (["model", "--rtt", "1e-320", "--p-grid", "1e-10"], "rtt_s=1e-320"),
+    (["model", "--n-grid", "1e200", "--p-grid", "0.001", "--oracle"],
+     "n_weight=1e+200"),
+    (["alloc", "--prices", "1,2", "--budget", str(10**309)],
+     "budget times the highest price 2.0"),
+    (["alloc", "--prices", "1e308,1e308", "--budget", "1000"],
+     "prices must sum to a finite float, got inf"),
 ])
 def test_non_finite_numbers_are_one_error_line(tmp_path, capsys, args, option):
     net = str(write_network(tmp_path))

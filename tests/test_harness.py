@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import math
 import re
 
 import pytest
@@ -10,7 +11,7 @@ import yaml
 from multcp.aqm import RedParams
 from multcp.engine import Scenario
 from multcp.harness import (BOTTLENECK, DumbbellParams, FairnessSample,
-                            GainSample, build_dumbbell,
+                            GainSample, Summary, build_dumbbell,
                             dispersion, load_scenario, run_gain_experiment,
                             run_scenario, scenario_from_dict,
                             summarize_fairness, summarize_gain,
@@ -105,6 +106,24 @@ def test_gain_experiment_shapes_and_summary():
         run_gain_experiment("cubic", [1], [0])
     with pytest.raises(ValueError, match="^n_grid and seeds must be non-empty$"):
         run_gain_experiment("sack", [], [0])
+
+
+def test_summaries_are_one_record_per_variant_and_weight():
+    # a fairness sweep's samples keep their variant, so two sweeps'
+    # samples summarize apart, in (variant, n) order, as gain samples do
+    fair = [FairnessSample(variant, n, seed, value)
+            for variant, n, seed, value in (("sack", 2.0, 0, 1.0),
+                                            ("reno", 2.0, 0, 5.0),
+                                            ("sack", 1.0, 0, 0.5),
+                                            ("sack", 2.0, 1, 3.0))]
+    assert summarize_fairness(fair) == [
+        Summary("reno", 2.0, 5.0, 0.0, 1),
+        Summary("sack", 1.0, 0.5, 0.0, 1),
+        Summary("sack", 2.0, 2.0, math.sqrt(2.0), 2)]
+    gain = [GainSample(s.variant, s.n_weight, s.seed, s.std_over_mean, 1.0, 1.0)
+            for s in fair]
+    assert summarize_gain(gain) == summarize_fairness(fair)
+    assert summarize_gain([]) == []
 
 
 def test_dispersion_of_uniform_product_is_zero():
@@ -211,12 +230,14 @@ def test_run_csv_is_deterministic(tmp_path):
 def test_writers_accept_a_path_or_a_stream(tmp_path):
     gain = [GainSample("sack", 2.0, 1, 1.9, 210.0, 110.0),
             GainSample("sack", 2.0, 0, 2.1, 230.0, 110.0)]
-    fair = [FairnessSample(2.0, 0, 0.07), FairnessSample(1.0, 0, 0.05)]
-    assert [s.n_weight for s in summarize_fairness(fair)] == [1.0, 2.0]
+    fair = [FairnessSample("sack", 2.0, 0, 0.07),
+            FairnessSample("sack", 1.0, 0, 0.05)]
+    summaries = [Summary("sack", 1.0, 0.05, 0.0, 1),
+                 Summary("sack", 2.0, 2.0, 0.1, 2)]
     for write, rows in ((write_gain_csv, gain),
-                        (write_gain_summary_csv, summarize_gain(gain)),
+                        (write_gain_summary_csv, summaries),
                         (write_fairness_csv, fair),
-                        (write_fairness_summary_csv, summarize_fairness(fair))):
+                        (write_fairness_summary_csv, summaries)):
         stream = io.StringIO(newline="")
         write(rows, stream)
         write(rows, tmp_path / "out.csv")

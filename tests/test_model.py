@@ -103,6 +103,11 @@ def test_oracle_bits_are_pinned(case, bits):
     lambda: sawtooth_oracle(1.0, 1e-3, 1000.0, 0.0),
     lambda: sawtooth_oracle(1.0, 1e-3, 1000.0, math.inf),
     lambda: sawtooth_oracle(1.0, 1e-3, float("nan"), 0.1),
+    # finite inputs whose closed form is not a finite float
+    lambda: multcp_throughput(1e200, 1e-3, 1000.0, 0.1),
+    lambda: multcp_throughput(1.0, 1e-4, 1000.0, 1e-320),
+    lambda: multcp_throughput(1.0, 1e-10, 1000.0, 1e-320),  # R sqrt(p) is 0.0
+    lambda: gain_ratio(1e200),
 ])
 def test_rejects_bad_arguments(call):
     with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ tiny in-process loop with scripted losses; no simulator involved.
 """
 
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,6 +27,10 @@ def test_crossover_reference_points():
     assert slow_start_crossover(8.0) == pytest.approx(279.6, abs=0.5)
     with pytest.raises(ValueError):
         slow_start_crossover(0.99)
+    # 3 ** (log N / log 1.5) passes the float range a little above N = 5e113
+    assert slow_start_crossover(5e113) < math.inf
+    with pytest.raises(ValueError, match="^n_weight 6e\\+113 is too large"):
+        slow_start_crossover(6e113)
 
 
 def test_slow_start_opens_two_then_one():
