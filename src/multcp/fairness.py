@@ -29,6 +29,8 @@ _EPS = 1e-9
 # wpf_allocate declares convergence at this KKT residual, so the weighted
 # PF check accepts rate vectors that are feasible to the same tolerance
 _KKT_TOL = 1e-6
+# the largest certified sum_s w_s (y_s - x_s) / x_s the check accepts
+_PF_TOL = 1e-7
 # its Newton steps stop near rounding error, and its line search halves
 _NEWTON_TOL, _NEWTON_STEPS, _ARMIJO = 1e-15, 100, 1e-4
 _HALVINGS = tuple(0.5 ** k for k in range(60))
@@ -204,8 +206,8 @@ class PfVerdict:
 
 
 def check_weighted_pf(network: Network, rates, weights, *,
-                      tol: float = 1e-7, samples: int | None = None) -> PfVerdict:
-    """Certify sum_s w_s (y_s - x_s) / x_s <= tol over feasible y.
+                      samples: int | None = None) -> PfVerdict:
+    """Certify sum_s w_s (y_s - x_s) / x_s <= _PF_TOL over feasible y.
 
     Prices lambda >= 0 on the links saturated to 10 _KKT_TOL are fitted to
     w_s / x_s along each weighted route by non-negative least squares and
@@ -241,7 +243,7 @@ def check_weighted_pf(network: Network, rates, weights, *,
         return PfVerdict(False, math.inf)
     scale = (need / got).max(initial=0.0)
     worst_sum = float(scale * (loads[saturated] @ lam) - w[active].sum())
-    return PfVerdict(worst_sum <= tol, worst_sum)
+    return PfVerdict(worst_sum <= _PF_TOL, worst_sum)
 
 
 def _nnls(a, b):

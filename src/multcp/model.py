@@ -108,7 +108,10 @@ def sawtooth_oracle(n_weight: float, p: float, packet_bytes: float,
                 packets += g
                 time_rtts += (w_pk - w) / n_weight
             w = beta * w_pk
-    throughput = packets * packet_bytes / (time_rtts * rtt_s)
+    elapsed = time_rtts * rtt_s     # 0.0 once the product underflows
+    throughput = _finite(packets * packet_bytes / elapsed if elapsed
+                         else math.inf, "throughput", n_weight=n_weight, p=p,
+                         packet_bytes=packet_bytes, rtt_s=rtt_s)
     return SawtoothResult(throughput_Bps=throughput,
                           mean_window=packets / time_rtts,
                           cycles=cycles - burn, packets=packets)

@@ -18,7 +18,7 @@ sequencing, retransmission and timer logic.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, fields
 
 VARIANTS = ("tahoe", "reno", "newreno", "sack")
@@ -167,45 +167,30 @@ class _IntervalSet:
         i = bisect_right(self.starts, x)
         return i > 0 and x < self.ends[i - 1]
 
-    def add_range(self, a: int, b: int) -> list[tuple[int, int]]:
-        """Insert [a, b); returns the sub-ranges that were actually new."""
+    def add_range(self, a: int, b: int) -> None:
+        """Insert [a, b), merging it with every range it overlaps or touches."""
         if a >= b:
-            return []
+            return
         starts, ends = self.starts, self.ends
-        i = bisect_right(starts, a)
-        if i and ends[i - 1] >= a:
-            if ends[i - 1] >= b:
-                return []   # already covered
-            i -= 1          # overlaps or touches from the left
-        # merge every range from i that overlaps or touches [a, b)
-        n = len(starts)
-        new_ranges: list[tuple[int, int]] = []
-        added = 0
-        cursor = a
-        j = i
-        while j < n and starts[j] <= b:
-            s = starts[j]
-            if s > cursor:
-                new_ranges.append((cursor, s))
-                added += s - cursor
-            e = ends[j]
-            if e > cursor:
-                cursor = e
-            j += 1
-        if cursor < b:
-            new_ranges.append((cursor, b))
-            added += b - cursor
+        i = bisect_left(ends, a)            # ranges i..j-1 overlap or touch
+        j = bisect_right(starts, b, i)
         if j == i:
             starts.insert(i, a)
             ends.insert(i, b)
-        else:
-            if starts[i] > a:
+            self.total += b - a
+        elif j == i + 1:
+            # most calls widen one range, so it is widened in place
+            if a < starts[i]:
+                self.total += starts[i] - a
                 starts[i] = a
-            ends[i] = cursor if cursor > b else b
-            del starts[i + 1:j]
-            del ends[i + 1:j]
-        self.total += added
-        return new_ranges
+            if b > ends[i]:
+                self.total += b - ends[i]
+                ends[i] = b
+        else:
+            s, e = min(a, starts[i]), max(b, ends[j - 1])
+            self.total += e - s - sum(ends[i:j]) + sum(starts[i:j])
+            starts[i:j] = [s]
+            ends[i:j] = [e]
 
     def prune_below(self, cutoff: int) -> None:
         """Remove every value < cutoff."""
@@ -320,7 +305,9 @@ class TcpSender:
         # the rewind, so those echoes cannot fire a bogus fast retransmit.
         self.guard_point = -1
 
-        # sack scoreboard
+        # sack scoreboard.  No lost segment is sacked, and cum_ack never is
+        # (the receiver lacks it): in_flight() counts the two apart, on_ack
+        # unmarks lost over each whole block, and recovery marks cum_ack.
         self.sacked = _IntervalSet()
         self.lost: set[int] = set()         # marked lost, not yet retransmitted
         # seq -> next_seq at retransmit time; once three segments past that
@@ -435,13 +422,9 @@ class TcpSender:
             for a, b in sack_blocks:
                 if a < cum_ack:
                     a = cum_ack
-                if a >= b:
-                    continue
-                new_ranges = sacked.add_range(a, b)
+                sacked.add_range(a, b)
                 if lost:
-                    for ga, gb in new_ranges:
-                        for x in range(ga, gb):
-                            lost.discard(x)
+                    lost.difference_update([x for x in lost if a <= x < b])
 
         if ack > self.cum_ack:
             self._on_advance(ack, now_ns, sends)
@@ -553,7 +536,7 @@ class TcpSender:
         self.in_recovery = True
         self.recovery_point = self.next_seq
         if self._sack:
-            if self.cum_ack not in self.sacked and self.cum_ack not in self.retx_marked:
+            if self.cum_ack not in self.retx_marked:
                 self.lost.add(self.cum_ack)
         else:
             st.cwnd = float(st.ssthresh) + DUPACK_THRESHOLD  # inflate for the three dupacks

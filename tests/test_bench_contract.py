@@ -1,9 +1,11 @@
-"""The names the benchmark under bench/ takes from multcp still exist.
+"""The names the benchmark under bench/ takes from multcp still exist,
+and its small workloads pass their own output checks.
 
-bench/ patches and calls multcp's functions by name.  A rename or a
-removal there would otherwise show only as a failed benchmark run, so
-these checks import bench's modules the way its worker does, with
-bench/ on sys.path, and use what they use.
+bench/ patches and calls multcp's functions by name, and checks every
+output a pass writes.  A rename, a removal or a changed output would
+otherwise show only as a failed benchmark run, so these checks import
+bench's modules the way its worker does, with bench/ on sys.path, and
+use what they use.
 """
 
 import importlib
@@ -50,3 +52,15 @@ def test_gain_sample_takes_the_keywords_the_workloads_pass(bench):
     assert out.getvalue() == ("variant,n,mean_gain,std_gain,seeds\r\n"
                               "newreno,1.0,1.0,0.0,1\r\n"
                               "newreno,8.0,2.5,0.0,1\r\n")
+
+
+def test_tiny_workloads_pass_their_own_checks(bench, tmp_path):
+    # each workload's first input, run and checked as one benchmark pass is
+    workloads = bench("workloads")
+    for name, workload in workloads.TINY.items():
+        _, inp = workload.make_input(3, 0)
+        workdir = tmp_path / name
+        workdir.mkdir()
+        checked = workload.check(inp, workload.run(inp, workdir), workdir)
+        assert checked.attempted > 0, name
+        assert checked.failures == [], (name, checked.failures)

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from multcp.fairness import (Network, MaxminVerdict, check_maxmin,
+from multcp.fairness import (Network, MaxminVerdict, _nnls, check_maxmin,
                              check_weighted_pf, maxmin_allocate, wpf_allocate)
 
 TRIANGLE = Network(
@@ -97,6 +97,11 @@ def test_check_maxmin_large_instance_uses_bottleneck_rule():
     assert verdict.passed
     assert verdict.method == "bottleneck"
     assert verdict.passed_strict is None
+    # one full link, but the connection at rate 1 is not among its fastest
+    shared = Network(capacities={"l": 10.0}, routes=(("l",),) * 5)
+    verdict = check_maxmin(shared, [1.0, 2.0, 2.0, 2.0, 3.0])
+    assert verdict.passed is False
+    assert verdict.method == "bottleneck"
 
 
 def reference_maxmin(network, rates):
@@ -201,8 +206,7 @@ def test_wpf_multi_link_known_optimum():
 
 def test_wpf_output_passes_pf_check():
     alloc = wpf_allocate(TRIANGLE, [2.0, 1.0, 1.0])
-    verdict = check_weighted_pf(TRIANGLE, alloc.rates, [2.0, 1.0, 1.0],
-                                tol=1e-5)
+    verdict = check_weighted_pf(TRIANGLE, alloc.rates, [2.0, 1.0, 1.0])
     assert verdict.passed, verdict
 
 
@@ -346,6 +350,35 @@ def test_pf_check_still_accepts_samples():
     alloc = wpf_allocate(TRIANGLE, [2.0, 1.0, 1.0])
     assert check_weighted_pf(TRIANGLE, alloc.rates, [2.0, 1.0, 1.0],
                              samples=1000).passed
+
+
+def test_nnls_matches_every_active_set(monkeypatch):
+    # the least-squares residual over each set of columns whose solution is
+    # non-negative; the smallest is the non-negative optimum
+    lstsq = np.linalg.lstsq
+    stepped_back = []
+
+    def spy(a, b, rcond=None):
+        out = lstsq(a, b, rcond=rcond)
+        # a negative trial is one _nnls steps back from
+        stepped_back.append((out[0] < 0).any())
+        return out
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        a = rng.integers(0, 2, size=(3, 3)).astype(float)
+        b = rng.uniform(0.1, 2.0, size=3)
+        z = _nnls(a, b)
+        best = np.linalg.norm(b)
+        for cols in itertools.chain.from_iterable(
+                itertools.combinations(range(3), k) for k in (1, 2, 3)):
+            sub = lstsq(a[:, cols], b, rcond=None)[0]
+            if (sub >= 0).all():
+                best = min(best, np.linalg.norm(a[:, cols] @ sub - b))
+        assert (z >= 0).all()
+        assert np.linalg.norm(a @ z - b) == pytest.approx(best, abs=1e-12)
+    assert any(stepped_back)
 
 
 # -- the PF certificate against an exact linear program ---------------------

@@ -108,6 +108,9 @@ def test_oracle_bits_are_pinned(case, bits):
     lambda: multcp_throughput(1.0, 1e-4, 1000.0, 1e-320),
     lambda: multcp_throughput(1.0, 1e-10, 1000.0, 1e-320),  # R sqrt(p) is 0.0
     lambda: gain_ratio(1e200),
+    # finite inputs whose sawtooth throughput is not a finite float
+    lambda: sawtooth_oracle(1.0, 1e-4, 1000.0, 1e-320),
+    lambda: sawtooth_oracle(1e300, 1e-3, 1000.0, 1e-200),   # elapsed is 0.0
 ])
 def test_rejects_bad_arguments(call):
     with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from multcp.tcp import (CongestionState, TcpReceiver, TraceRecord,
                         TcpSender, VARIANTS, _IntervalSet,
@@ -74,19 +74,21 @@ def test_timeout_restarts_from_one():
 
 def test_interval_set_add_and_merge():
     s = _IntervalSet()
-    assert s.add_range(5, 6) and s.add_range(7, 8) and s.add_range(6, 7)
+    for a in (5, 7, 6):
+        assert s.add_range(a, a + 1) is None
     assert list(zip(s.starts, s.ends)) == [(5, 8)]
-    assert not s.add_range(6, 7)     # already covered
+    s.add_range(6, 7)     # already covered
+    assert list(zip(s.starts, s.ends)) == [(5, 8)]
     assert s.total == 3
 
 
-def test_interval_set_add_range_reports_new():
+def test_interval_set_add_range_widens_and_inserts():
     s = _IntervalSet()
     s.add_range(10, 15)
-    new = s.add_range(12, 20)
-    assert new == [(15, 20)]
+    s.add_range(12, 20)
     assert list(zip(s.starts, s.ends)) == [(10, 20)]
-    assert s.add_range(0, 5) == [(0, 5)]
+    s.add_range(0, 5)
+    assert list(zip(s.starts, s.ends)) == [(0, 5), (10, 20)]
     assert s.total == 15
 
 
@@ -107,7 +109,9 @@ def test_interval_set_tracks_a_plain_set(points, cutoff):
     s = _IntervalSet()
     ref = set()
     for x in points:
-        assert bool(s.add_range(x, x + 1)) == (x not in ref)
+        before = s.total
+        s.add_range(x, x + 1)
+        assert s.total - before == (x not in ref)
         ref.add(x)
     assert s.total == len(ref)
     assert s.count_below(cutoff) == sum(1 for x in ref if x < cutoff)
@@ -136,7 +140,7 @@ def test_add_range_of_any_width_tracks_a_plain_set(inserts):
     ref = set()
     for a, width in inserts:
         b = a + width
-        assert s.add_range(a, b) == runs(set(range(a, b)) - ref)
+        s.add_range(a, b)
         ref.update(range(a, b))
         assert s.total == len(ref)
         assert list(zip(s.starts, s.ends)) == runs(ref)
@@ -286,6 +290,19 @@ def test_sack_burst_loss_repairs_without_timeout():
     loop = Loop("sack", 2.0, drop={30, 32, 34, 36}).run(30)
     assert loop.tx.timeouts == 0
     assert loop.tx.cum_ack > 80
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sets(st.integers(0, 300), max_size=30),
+       st.sampled_from([1.0, 2.0, 4.0]))
+def test_sack_scoreboard_never_holds_a_lost_or_cum_ack_segment(drop, n):
+    # in_flight() subtracts the lost and the sacked counts apart, and the
+    # sender updates each without checking the other
+    loop = Loop("sack", n, drop=drop)
+    for _ in range(40):
+        tx = loop.tick().tx
+        assert [x for x in tx.lost if x in tx.sacked] == []
+        assert tx.cum_ack not in tx.sacked
 
 
 def test_newreno_multi_loss_stays_in_one_recovery():
