@@ -83,19 +83,22 @@ def sawtooth_oracle(n_weight: float, p: float, packet_bytes: float,
     Starting from a cold window, each cycle draws a geometric number of
     packets until the next loss, integrates the window growth of N per
     round trip over those packets, then applies the (N - 1/2) / N
-    decrease.  The first tenth of the cycles is discarded as warm-up.
-    Growing at N per RTT while sending w packets per RTT means
-    ds = w dw / N, so after g packets the window is sqrt(w^2 + 2 N g).
+    decrease.  The first tenth of the cycles is discarded as warm-up;
+    the window relaxes by about 1/(2N) per cycle, so that tenth must
+    hold at least 10 N cycles.  Growing at N per RTT while sending w
+    packets per RTT means ds = w dw / N, so after g packets the window
+    is sqrt(w^2 + 2 N g).
     """
     import numpy as np      # here, not at module top: only the oracle needs it
 
     _check_inputs(n_weight, p, packet_bytes, rtt_s)
-    if cycles < 10:
-        raise ValueError("need at least 10 cycles")
+    burn = cycles // 10
+    if burn < 10 * n_weight:
+        raise ValueError(f"a burn-in of {burn} cycles (cycles // 10) is under "
+                         f"10 N = {10 * n_weight:g} at n_weight={n_weight!r}")
     rng = np.random.default_rng(seed)
     gaps = rng.geometric(p, size=cycles)
     beta = (n_weight - 0.5) / n_weight
-    burn = cycles // 10
     w = 1.0
     packets = 0.0
     time_rtts = 0.0
@@ -108,9 +111,9 @@ def sawtooth_oracle(n_weight: float, p: float, packet_bytes: float,
                 packets += g
                 time_rtts += (w_pk - w) / n_weight
             w = beta * w_pk
-    elapsed = time_rtts * rtt_s     # 0.0 once the product underflows
-    throughput = _finite(packets * packet_bytes / elapsed if elapsed
-                         else math.inf, "throughput", n_weight=n_weight, p=p,
+    # at least 90 N cycles are counted, so time_rtts > 1 and this is not 0.0
+    throughput = _finite(packets * packet_bytes / (time_rtts * rtt_s),
+                         "throughput", n_weight=n_weight, p=p,
                          packet_bytes=packet_bytes, rtt_s=rtt_s)
     return SawtoothResult(throughput_Bps=throughput,
                           mean_window=packets / time_rtts,

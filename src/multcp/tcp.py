@@ -273,7 +273,9 @@ class TcpSender:
     The caller supplies clock readings in integer nanoseconds and turns
     the returned segment numbers into packets.  The retransmit
     timer is exposed as `timer_deadline_ns`; the caller must invoke
-    on_timer_check() at or after that time.
+    on_timer_check() at or after that time.  pump() ends start, on_ack
+    and a due on_timer_check and alone sets the timer; acked new data, a
+    new recovery episode and a fired timeout restart it by clearing it.
     """
 
     def __init__(self, variant: str, n_weight: float = 1.0, *,
@@ -351,20 +353,19 @@ class TcpSender:
         return self.pump(now_ns)
 
     def pump(self, now_ns: int) -> list[int]:
-        """Emit as many segments as the windows allow."""
+        """Emit what the windows allow; then stop the timer if nothing is
+        outstanding, else start it (now + backed-off rto) if stopped."""
         sends: list[int] = []
-        if not self.active:
-            return sends
-        window = int(self.state.cwnd)
-        if self._renoish and not self.in_recovery:
-            window += min(self.dupacks, 2)      # limited transmit
-        if window > self.advertised:
-            window = self.advertised
+        window = 0
+        if self.active:
+            window = int(self.state.cwnd)
+            if self._renoish and not self.in_recovery:
+                window += min(self.dupacks, 2)      # limited transmit
+            if window > self.advertised:
+                window = self.advertised
         # Every emitted segment raises in_flight() by one; skipping a sacked
         # segment advances next_seq and the sacked count below it together.
         in_flight = self.in_flight()
-        if in_flight >= window:
-            return sends
         sack, sacked, lost = self._sack, self.sacked, self.lost
         bulk = self.bulk_segments
         next_seq, highest_sent = self.next_seq, self.highest_sent
@@ -373,7 +374,7 @@ class TcpSender:
                 seq = min(lost)
                 lost.discard(seq)
                 self.retx_marked[seq] = next_seq
-                self._retransmit(sends, seq, now_ns)
+                self._retransmit(sends, seq)
                 in_flight += 1
                 continue
             if bulk is not None and next_seq >= bulk:
@@ -385,7 +386,7 @@ class TcpSender:
             if seq <= highest_sent:
                 if sack:
                     self.retx_marked[seq] = next_seq
-                self._retransmit(sends, seq, now_ns)
+                self._retransmit(sends, seq)
             else:
                 sends.append(seq)
                 self.segments_sent += 1
@@ -393,21 +394,23 @@ class TcpSender:
                 if self._timing_seq is None:
                     self._timing_seq = seq
                     self._timing_sent_ns = now_ns
-                if self.timer_deadline_ns is None:
-                    self.timer_deadline_ns = now_ns + self._effective_rto()
             in_flight += 1
         self.next_seq = next_seq
         self.highest_sent = highest_sent
+        if self.cum_ack >= next_seq:
+            self.timer_deadline_ns = None
+        elif self.timer_deadline_ns is None:
+            rto = self.rto_ns << self.backoff
+            self.timer_deadline_ns = now_ns + (rto if rto < RTO_MAX_NS
+                                               else RTO_MAX_NS)
         return sends
 
-    def _retransmit(self, sends: list[int], seq: int, now_ns: int) -> None:
+    def _retransmit(self, sends: list[int], seq: int) -> None:
         sends.append(seq)
         self.segments_sent += 1
         self.retransmits += 1
         if seq == self._timing_seq:
             self._timing_seq = None     # Karn: never time a retransmission
-        if self.timer_deadline_ns is None:
-            self.timer_deadline_ns = now_ns + self._effective_rto()
 
     # -- ack processing ---------------------------------------------------
 
@@ -446,8 +449,6 @@ class TcpSender:
                 self._enter_recovery(now_ns, sends)
 
         sends.extend(self.pump(now_ns))
-        if self.cum_ack >= self.next_seq:
-            self.timer_deadline_ns = None   # nothing outstanding
         return sends
 
     def _on_advance(self, ack: int, now_ns: int, sends: list[int]) -> None:
@@ -476,7 +477,7 @@ class TcpSender:
                 self._exit_recovery()
             elif self.variant == "newreno":
                 # partial ack: the next hole is known lost, repair it now
-                self._retransmit(sends, self.cum_ack, now_ns)
+                self._retransmit(sends, self.cum_ack)
                 st.cwnd = max(1.0, st.cwnd - newly + 1.0)
             elif self.variant == "reno":
                 self._exit_recovery()
@@ -490,12 +491,7 @@ class TcpSender:
                 on_ack_congestion_avoidance(st)
             if self.trace is not None:
                 self._record(now_ns, ACK_RECEIVED, before, st.cwnd, ack)
-
-        if self.cum_ack < self.next_seq:
-            # backoff is 0 again, so the effective rto is rto_ns itself
-            self.timer_deadline_ns = now_ns + self.rto_ns
-        else:
-            self.timer_deadline_ns = None
+        self.timer_deadline_ns = None   # pump restarts it
 
     def _on_duplicate(self, now_ns: int, sends: list[int]) -> None:
         st = self.state
@@ -523,7 +519,7 @@ class TcpSender:
         self._record(now_ns, LOSS_DETECTED, before, reduced)
         self.fast_retransmits += 1
         # fresh timer for the repair; the stale deadline predates the episode
-        self.timer_deadline_ns = now_ns + self._effective_rto()
+        self.timer_deadline_ns = None   # pump restarts it
         if self.cum_ack == self._timing_seq:
             self._timing_seq = None
         if self.variant == "tahoe":
@@ -540,7 +536,7 @@ class TcpSender:
                 self.lost.add(self.cum_ack)
         else:
             st.cwnd = float(st.ssthresh) + DUPACK_THRESHOLD  # inflate for the three dupacks
-            self._retransmit(sends, self.cum_ack, now_ns)
+            self._retransmit(sends, self.cum_ack)
 
     def update_scoreboard(self) -> None:
         """Mark a hole lost once the highest sack sits three segments past it."""
@@ -588,15 +584,8 @@ class TcpSender:
             self.retx_marked.clear()
             self._loss_scan_floor = self.cum_ack
         self.backoff = min(self.backoff + 1, 6)
-        sends = self.pump(now_ns)
-        if sends or self.cum_ack < self.next_seq:
-            self.timer_deadline_ns = now_ns + self._effective_rto()
-        else:
-            self.timer_deadline_ns = None
-        return sends
-
-    def _effective_rto(self) -> int:
-        return min(RTO_MAX_NS, self.rto_ns << self.backoff)
+        self.timer_deadline_ns = None   # pump restarts it, backed off
+        return self.pump(now_ns)
 
     def _rtt_sample(self, sample_ns: int) -> None:
         if self.srtt_ns is None:

@@ -177,6 +177,8 @@ def test_simulate_rejects_duplicate_link_names(tmp_path, capsys, rename):
     (("flows", 0, "route", 1), 5, "flows[0].route[1]: expected a string, got 5"),
     (("flows", 0, "variant"), ["sack"],
      "flows[0].variant: expected a string, got ['sack']"),
+    (("links",), 5, "links must be a non-empty list"),
+    (("links", 0), 5, "links[0] must be a mapping"),
     pytest.param(("links", 0, "bandwidth"), 10 ** 400,
                  f"links[0].bandwidth: expected a number, got {10 ** 400}",
                  id="bandwidth-too-large-for-a-float"),
@@ -378,6 +380,34 @@ def test_non_finite_numbers_are_one_error_line(tmp_path, capsys, args, option):
     assert rc == 1 and captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and option in err[0]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["sweep", "gain", "--variant", "sack", "--n-grid", ","],
+     "--n-grid: empty list"),
+    (["fairness-check", "NET", "--rates", "1,1", "--weights", "1,1,1"],
+     "--weights: expected 2 entries"),
+    (["fairness-check", "NET"], "give --rates to check, or --allocate"),
+    (["police", "--trace", "TRACE", "--declarations", "DECLS"],
+     "no declarations to verify"),
+    (["simulate", "LIST"], "LIST: top level must be a mapping"),
+    # the oracle's burn-in must outlast the cold start; this one read 0.59
+    # of the formula and printed rel_err 0.413 with exit 0
+    (["model", "--oracle", "--n-grid", "10000", "--p-grid", "0.001"],
+     "a burn-in of 1000 cycles (cycles // 10) is under 10 N = 100000 at "
+     "n_weight=10000.0"),
+])
+def test_bad_input_is_one_error_line(tmp_path, capsys, args, message):
+    files = {"NET": write_network(tmp_path), "TRACE": tmp_path / "trace.csv",
+             "DECLS": tmp_path / "decls.csv", "LIST": tmp_path / "list.yaml"}
+    write_trace_csv(compliant_trace(2.0), files["TRACE"])
+    files["DECLS"].write_text("flow_id,declared_n,start_ns,end_ns\n")
+    files["LIST"].write_text("- links\n- flows\n")
+    rc = main([str(files.get(arg, arg)) for arg in args])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: " + message.replace("LIST", str(files["LIST"]))]
 
 
 def test_alloc_exact_proportions(tmp_path):

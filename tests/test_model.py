@@ -87,6 +87,19 @@ def test_oracle_bits_are_pinned(case, bits):
     assert tuple(f.hex() for f in fields) == bits
 
 
+def test_oracle_needs_a_burn_in_of_ten_n_cycles():
+    # a shorter one returns the cold start's transient: with the default
+    # 10,000 cycles at p=1e-3 the oracle read 0.59 of the formula at N=1e4
+    assert sawtooth_oracle(10.0, 1e-3, 1000.0, 0.1, cycles=1000).cycles == 900
+    with pytest.raises(ValueError, match=r"^a burn-in of 99 cycles \(cycles "
+                       r"// 10\) is under 10 N = 100 at n_weight=10.0$"):
+        sawtooth_oracle(10.0, 1e-3, 1000.0, 0.1, cycles=999)
+    with pytest.raises(ValueError, match="burn-in of 9 cycles"):
+        sawtooth_oracle(1.0, 1e-3, 1000.0, 0.1, cycles=99)
+    with pytest.raises(ValueError, match="under 10 N = 100000 "):
+        sawtooth_oracle(1e4, 1e-3, 1000.0, 0.1)
+
+
 @pytest.mark.parametrize("call", [
     lambda: cycle_data(0.0, 1.0),
     lambda: cycle_data(10.0, 0.5),
@@ -110,7 +123,7 @@ def test_oracle_bits_are_pinned(case, bits):
     lambda: gain_ratio(1e200),
     # finite inputs whose sawtooth throughput is not a finite float
     lambda: sawtooth_oracle(1.0, 1e-4, 1000.0, 1e-320),
-    lambda: sawtooth_oracle(1e300, 1e-3, 1000.0, 1e-200),   # elapsed is 0.0
+    lambda: sawtooth_oracle(1e300, 1e-3, 1000.0, 1e-200),   # burn-in under 10 N
 ])
 def test_rejects_bad_arguments(call):
     with pytest.raises(ValueError):

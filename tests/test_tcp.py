@@ -10,7 +10,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multcp.tcp import (CongestionState, TcpReceiver, TraceRecord,
+from multcp.tcp import (CongestionState, RTO_MAX_NS, TcpReceiver, TraceRecord,
                         TcpSender, VARIANTS, _IntervalSet,
                         on_ack_congestion_avoidance, on_ack_slow_start,
                         on_congestion_signal, on_timeout,
@@ -303,6 +303,78 @@ def test_sack_scoreboard_never_holds_a_lost_or_cum_ack_segment(drop, n):
         tx = loop.tick().tx
         assert [x for x in tx.lost if x in tx.sacked] == []
         assert tx.cum_ack not in tx.sacked
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sets(st.integers(0, 300), max_size=30),
+       st.sampled_from([1.0, 2.0, 4.0]), st.sampled_from([None, 40, 150]))
+def test_timer_runs_exactly_while_data_is_outstanding(variant, drop, n, bulk):
+    loop = Loop(variant, n, drop=drop, bulk_segments=bulk)
+    for _ in range(40):
+        tx = loop.tick().tx
+        assert (tx.timer_deadline_ns is None) == (tx.cum_ack >= tx.next_seq)
+
+
+def backed_off_deadline(tx, now):
+    return now + min(RTO_MAX_NS, tx.rto_ns << tx.backoff)
+
+
+def test_advancing_ack_restarts_the_timer_without_backoff():
+    tx = TcpSender("reno", 1.0)
+    tx.start(0)
+    tx.on_timer_check(tx.timer_deadline_ns)     # resends 0, backoff 1
+    assert tx.backoff == 1
+    now = tx.timer_deadline_ns
+    for _ in range(3):      # each ack acks new data and leaves some out
+        stale = tx.timer_deadline_ns
+        now += 100_000_000
+        assert tx.on_ack(tx.cum_ack + 1, [], now)
+        assert tx.backoff == 0
+        assert tx.timer_deadline_ns == now + tx.rto_ns != stale
+
+
+def test_reno_third_dupack_restarts_the_timer():
+    tx, rx = TcpSender("reno", 1.0), TcpReceiver()
+    now = 0
+    wire = tx.start(now)
+    for _ in range(2):      # two clean round trips: segments 4 to 9 out
+        now += 100_000_000
+        acks = [rx.on_data(seq)[0] for seq in wire]
+        wire = [seq for ack in acks for seq in tx.on_ack(ack, [], now)]
+    assert wire == [4, 5, 6, 7, 8, 9]
+    for seq in wire[1:4]:   # 4 is lost; 5, 6 and 7 each bring a dupack
+        now += 10_000_000
+        stale = tx.timer_deadline_ns
+        sends = tx.on_ack(rx.on_data(seq)[0], [], now)
+    assert tx.fast_retransmits == 1 and sends == [4]
+    assert tx.timer_deadline_ns == backed_off_deadline(tx, now) != stale
+
+
+def test_fired_timeout_restarts_the_timer_backed_off():
+    tx = TcpSender("reno", 1.0)
+    tx.start(0)
+    waits = []
+    for backoff in [1, 2, 3, 4, 5, 6, 6]:
+        now = tx.timer_deadline_ns
+        assert tx.on_timer_check(now - 1) == []
+        assert tx.timer_deadline_ns == now      # not due: left running
+        assert tx.on_timer_check(now) == [0]
+        assert tx.backoff == backoff
+        assert tx.timer_deadline_ns == backed_off_deadline(tx, now)
+        waits.append((tx.timer_deadline_ns - now) // 10**9)
+    assert waits == [2, 4, 8, 16, 32, 60, 60]   # RTO_MAX_NS caps the wait
+
+
+def test_sack_block_below_cum_ack_is_ignored():
+    # the simulator never sends one, but a library caller may
+    tx = TcpSender("sack", 1.0, bulk_segments=3)
+    tx.start(0)
+    assert tx.on_ack(1, [], 100_000_000) == [1, 2]
+    before = tx.in_flight()
+    assert tx.on_ack(1, [(0, 1)], 200_000_000) == []
+    assert tx.sacked.total == 0
+    assert tx.in_flight() == before == 2
 
 
 def test_newreno_multi_loss_stays_in_one_recovery():
